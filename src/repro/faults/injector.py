@@ -3,15 +3,13 @@
 The :class:`FaultInjector` is what a :class:`~repro.faults.FaultPlan`
 looks like from inside :class:`~repro.tfx.runtime.PipelineRunner`: one
 ``draw()`` per node execution, answered from the plan's own random
-stream (never the simulation rng). The legacy ``fail_nodes`` /
-``fail_node`` hints collapse into the same :class:`InjectedFault`
-representation via :func:`hint_fault`, so the runner has exactly one
-failure code path.
+stream (never the simulation rng). The legacy ``fail_nodes`` hint
+collapses into the same :class:`InjectedFault` representation via
+:func:`hint_fault`, so the runner has exactly one failure code path.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -138,16 +136,14 @@ class FaultInjector:
 def hint_fault(hints: dict[str, Any], node_id: str) -> InjectedFault | None:
     """The unified reading of the legacy failure hints.
 
-    ``hints["fail_nodes"]`` (a collection of node ids) is the supported
-    spelling; the singular ``hints["fail_node"]`` is kept as a
-    deprecated alias.
+    ``hints["fail_nodes"]`` (a collection of node ids) is the only
+    spelling. The singular ``hints["fail_node"]`` alias is removed and
+    raises ``TypeError`` rather than being silently ignored.
     """
-    legacy = hints.get("fail_node")
-    if legacy is not None:
-        warnings.warn(
-            "the 'fail_node' hint is deprecated; use 'fail_nodes' "
-            "(a collection) or a FaultPlan instead",
-            DeprecationWarning, stacklevel=3)
-    if node_id in hints.get("fail_nodes", ()) or legacy == node_id:
+    if "fail_node" in hints:
+        raise TypeError(
+            "the 'fail_node' hint was removed; use 'fail_nodes' "
+            "(a collection of node ids) or a FaultPlan instead")
+    if node_id in hints.get("fail_nodes", ()):
         return HINT_FAULT
     return None

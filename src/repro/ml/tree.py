@@ -2,9 +2,12 @@
 
 A from-scratch replacement for the scikit-learn trees the paper uses via
 its Random Forest / GBDT experiments (Section 5.2.2); scikit-learn is not
-available in this environment. Split search is vectorized with numpy:
-per candidate feature, sort the node's rows once and evaluate the
-impurity of every threshold from prefix sums.
+available in this environment. Split search is one numpy kernel per
+node: the node's candidate columns are laid out features x rows, sorted
+together, and the impurity of every threshold of every candidate comes
+from one prefix count per column; a masked argmax picks each column's
+best threshold. ``tests/ml/tree_oracle.py`` holds a per-column search
+as the oracle these trees are checked against, bit for bit.
 
 Supports ``max_features`` (random feature subsampling per node) so the
 forest in :mod:`repro.ml.forest` is a proper Random Forest.
@@ -30,12 +33,11 @@ class _Node:
     impurity: float = 0.0
 
 
-def _gini(class_counts: np.ndarray) -> np.ndarray:
-    """Gini impurity for rows of class counts (vectorized)."""
-    totals = class_counts.sum(axis=-1, keepdims=True)
-    safe = np.where(totals > 0, totals, 1)
-    proportions = class_counts / safe
-    return 1.0 - (proportions ** 2).sum(axis=-1)
+def _gini(class_counts: np.ndarray,
+          sizes: np.ndarray | int) -> np.ndarray:
+    """Gini impurity for rows of class counts (vectorized); ``sizes``
+    are the row sums, never zero (every node and side has a row)."""
+    return 1.0 - ((class_counts / sizes) ** 2).sum(axis=-1)
 
 
 class _BaseTree:
@@ -65,10 +67,39 @@ class _BaseTree:
         """Return (value, impurity) summarizing the target at a node."""
         raise NotImplementedError
 
-    def _best_split(self, x_col: np.ndarray, y: np.ndarray,
-                    min_leaf: int) -> tuple[float, float]:
-        """Return (gain, threshold) for the best split on one column."""
+    def _split_gains(self, ys: np.ndarray,
+                     positions: np.ndarray) -> np.ndarray:
+        """Gain of splitting each row of ``ys`` after each of the sorted
+        ``positions``, as a (k, len(positions)) array; -1.0 where the
+        gain is too small to split on.
+
+        ``ys`` is (k, n) and C-contiguous: row j holds the node's target
+        ordered by candidate column j.
+        """
         raise NotImplementedError
+
+    def _best_splits(self, columns: np.ndarray, y: np.ndarray,
+                     min_leaf: int) -> tuple[np.ndarray, np.ndarray]:
+        """Return (gains[k], thresholds[k]): the best split of each of
+        the k candidate columns of a C-contiguous (k, n) block.
+
+        A gain of -1.0 means the column has no admissible split.
+        """
+        k, n = columns.shape
+        # Split after sorted position p: left = [0..p], both sides
+        # satisfying min_samples_leaf.
+        positions = np.arange(min_leaf - 1, n - min_leaf)
+        if positions.size == 0:
+            return np.full(k, -1.0), np.zeros(k)
+        order = columns.argsort(axis=1, kind="stable")
+        rows = np.arange(k)
+        xs = columns[rows[:, None], order]
+        # Only where the value changes is a position a threshold.
+        gains = np.where(xs[:, positions] < xs[:, positions + 1],
+                         self._split_gains(y[order], positions), -1.0)
+        best = gains.argmax(axis=1)
+        at = positions[best]
+        return gains[rows, best], (xs[rows, at] + xs[rows, at + 1]) / 2.0
 
     # ---- fitting -------------------------------------------------------
 
@@ -87,8 +118,10 @@ class _BaseTree:
         self._rng = np.random.default_rng(self.random_state)
         importance = np.zeros(self._n_features)
         self._prepare_target(target)
-        self._grow(features, self._encoded_target, depth=0,
-                   importance=importance)
+        # Features x rows, so each candidate column is one contiguous row
+        # and reductions run along the last axis (see _best_splits).
+        self._grow(np.ascontiguousarray(features.T), self._encoded_target,
+                   depth=0, importance=importance)
         total = importance.sum()
         self.feature_importances_ = (importance / total if total > 0
                                      else importance)
@@ -110,7 +143,7 @@ class _BaseTree:
             return max(1, int(spec * d))
         return max(1, min(int(spec), d))
 
-    def _grow(self, features: np.ndarray, target: np.ndarray, depth: int,
+    def _grow(self, columns: np.ndarray, target: np.ndarray, depth: int,
               importance: np.ndarray) -> int:
         value, impurity = self._node_stats(target)
         node = _Node(value=value, n_samples=len(target), impurity=impurity)
@@ -129,25 +162,26 @@ class _BaseTree:
         else:
             candidates = np.arange(self._n_features)
 
+        gains, thresholds = self._best_splits(
+            columns[candidates], target, self.min_samples_leaf)
         best_gain, best_feature, best_threshold = -1.0, -1, 0.0
-        for feature_idx in candidates:
-            gain, threshold = self._best_split(
-                features[:, feature_idx], target, self.min_samples_leaf)
+        for feature_idx, gain, threshold in zip(
+                candidates.tolist(), gains.tolist(), thresholds.tolist()):
             if gain > best_gain + 1e-15:
                 best_gain, best_feature, best_threshold = (
-                    gain, int(feature_idx), threshold)
+                    gain, feature_idx, threshold)
         if best_feature < 0 or best_gain < 0:
             return index
 
-        mask = features[:, best_feature] <= best_threshold
+        mask = columns[best_feature] <= best_threshold
         if mask.all() or not mask.any():
             return index
         node.feature = best_feature
         node.threshold = best_threshold
         importance[best_feature] += best_gain * len(target)
-        node.left = self._grow(features[mask], target[mask], depth + 1,
+        node.left = self._grow(columns[:, mask], target[mask], depth + 1,
                                importance)
-        node.right = self._grow(features[~mask], target[~mask], depth + 1,
+        node.right = self._grow(columns[:, ~mask], target[~mask], depth + 1,
                                 importance)
         return index
 
@@ -158,15 +192,14 @@ class _BaseTree:
         if features.ndim != 2 or features.shape[1] != self._n_features:
             raise ValueError(
                 f"expected (n, {self._n_features}) features")
-        out = [None] * len(features)
+        out = np.empty((len(features),) + np.shape(self._nodes[0].value))
         # Iterative routing, one node at a time, vectorized by partition.
         stack = [(0, np.arange(len(features)))]
         while stack:
             node_index, rows = stack.pop()
             node = self._nodes[node_index]
             if node.feature < 0:
-                for r in rows:
-                    out[r] = node.value
+                out[rows] = node.value
                 continue
             mask = features[rows, node.feature] <= node.threshold
             left_rows = rows[mask]
@@ -175,7 +208,7 @@ class _BaseTree:
                 stack.append((node.left, left_rows))
             if right_rows.size:
                 stack.append((node.right, right_rows))
-        return np.asarray(out)
+        return out
 
     @property
     def node_count(self) -> int:
@@ -209,50 +242,29 @@ class DecisionTreeClassifier(_BaseTree):
 
     def _node_stats(self, y: np.ndarray):
         counts = np.bincount(y, minlength=len(self.classes_)).astype(float)
-        total = counts.sum()
-        value = counts / total if total else counts
-        return value, float(_gini(counts))
+        return counts / len(y), float(_gini(counts, len(y)))
 
-    def _best_split(self, x_col: np.ndarray, y: np.ndarray,
-                    min_leaf: int) -> tuple[float, float]:
-        order = np.argsort(x_col, kind="stable")
-        xs = x_col[order]
-        ys = y[order]
-        n = len(ys)
-        n_classes = len(self.classes_)
-        one_hot = np.zeros((n, n_classes))
-        one_hot[np.arange(n), ys] = 1.0
-        prefix = np.cumsum(one_hot, axis=0)
-        total = prefix[-1]
-        # Valid split positions: after index i (left = [0..i]), where the
-        # value changes and both sides satisfy min_samples_leaf.
-        positions = np.arange(min_leaf - 1, n - min_leaf)
-        if positions.size == 0:
-            return -1.0, 0.0
-        valid = xs[positions] < xs[positions + 1]
-        positions = positions[valid]
-        if positions.size == 0:
-            return -1.0, 0.0
-        left_counts = prefix[positions]
-        right_counts = total - left_counts
+    def _split_gains(self, ys: np.ndarray,
+                     positions: np.ndarray) -> np.ndarray:
+        n = ys.shape[1]
+        one_hot = (ys[..., None] == np.arange(len(self.classes_))).astype(
+            float)
+        prefix = one_hot.cumsum(axis=1)
+        total = prefix[0, -1]
+        left_counts = prefix[:, positions]
         left_sizes = positions + 1
         right_sizes = n - left_sizes
-        parent_impurity = float(_gini(total))
-        child = (left_sizes * _gini(left_counts)
-                 + right_sizes * _gini(right_counts)) / n
-        gains = parent_impurity - child
-        best = int(np.argmax(gains))
-        if gains[best] < 0:
-            return -1.0, 0.0
+        child = (left_sizes * _gini(left_counts, left_sizes[:, None])
+                 + right_sizes * _gini(total - left_counts,
+                                       right_sizes[:, None])) / n
+        gains = float(_gini(total, n)) - child
         # Zero-gain splits are allowed (ties still shrink the node), so
         # parity-style targets like XOR remain learnable.
-        pos = positions[best]
-        threshold = (xs[pos] + xs[pos + 1]) / 2.0
-        return float(max(gains[best], 0.0)), float(threshold)
+        return np.where(gains < 0, -1.0, gains)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Class-probability estimates (leaf class frequencies)."""
-        return np.vstack(self._leaf_values(features))
+        return self._leaf_values(features)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted class labels."""
@@ -266,39 +278,25 @@ class DecisionTreeRegressor(_BaseTree):
     def _node_stats(self, y: np.ndarray):
         return float(y.mean()), float(y.var())
 
-    def _best_split(self, x_col: np.ndarray, y: np.ndarray,
-                    min_leaf: int) -> tuple[float, float]:
-        order = np.argsort(x_col, kind="stable")
-        xs = x_col[order]
-        ys = y[order]
-        n = len(ys)
-        prefix_sum = np.cumsum(ys)
-        prefix_sq = np.cumsum(ys ** 2)
-        positions = np.arange(min_leaf - 1, n - min_leaf)
-        if positions.size == 0:
-            return -1.0, 0.0
-        valid = xs[positions] < xs[positions + 1]
-        positions = positions[valid]
-        if positions.size == 0:
-            return -1.0, 0.0
+    def _split_gains(self, ys: np.ndarray,
+                     positions: np.ndarray) -> np.ndarray:
+        n = ys.shape[1]
+        prefix_sum = ys.cumsum(axis=1)
+        prefix_sq = (ys ** 2).cumsum(axis=1)
         left_n = positions + 1
         right_n = n - left_n
-        left_sum = prefix_sum[positions]
-        right_sum = prefix_sum[-1] - left_sum
-        left_sq = prefix_sq[positions]
-        right_sq = prefix_sq[-1] - left_sq
+        left_sum = prefix_sum[:, positions]
+        right_sum = prefix_sum[:, -1:] - left_sum
+        left_sq = prefix_sq[:, positions]
+        right_sq = prefix_sq[:, -1:] - left_sq
         left_var = left_sq / left_n - (left_sum / left_n) ** 2
         right_var = right_sq / right_n - (right_sum / right_n) ** 2
-        parent_var = float(ys.var())
         child = (left_n * left_var + right_n * right_var) / n
-        gains = parent_var - child
-        best = int(np.argmax(gains))
-        if gains[best] <= 1e-15:
-            return -1.0, 0.0
-        pos = positions[best]
-        threshold = (xs[pos] + xs[pos + 1]) / 2.0
-        return float(gains[best]), float(threshold)
+        # Along the contiguous last axis, var rounds exactly like the
+        # 1-D var of each sorted column (along axis 0 it would not).
+        gains = ys.var(axis=1)[:, None] - child
+        return np.where(gains <= 1e-15, -1.0, gains)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted regression values."""
-        return self._leaf_values(features).astype(float)
+        return self._leaf_values(features)

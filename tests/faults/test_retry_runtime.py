@@ -296,13 +296,23 @@ class TestFailureProvenance:
         assert execution.get("failed_node") == "trainer"
         assert execution.get("failure_kind") == "operator_error"
 
-    def test_singular_fail_node_hint_deprecated(self, rng):
+    def test_singular_fail_node_hint_removed(self, rng):
+        """The deprecation window is closed: the singular alias fails
+        loudly, naming its replacement, instead of being ignored."""
+        _, runner = _runner(rng)
+        schema = random_schema(rng, n_features=4)
+        with pytest.raises(TypeError, match="fail_nodes"):
+            runner.run(0.0, kind="train",
+                       hints=_hints(schema, rng, 0, fail_node="trainer"))
+
+    def test_fail_nodes_hint_warning_free(self, rng, recwarn):
         store, runner = _runner(rng)
         schema = random_schema(rng, n_features=4)
-        with pytest.warns(DeprecationWarning):
-            report = runner.run(0.0, kind="train",
-                                hints=_hints(schema, rng, 0,
-                                             fail_node="trainer"))
+        report = runner.run(0.0, kind="train",
+                            hints=_hints(schema, rng, 0,
+                                         fail_nodes={"trainer"}))
         assert report.node_status["trainer"] == FAILED
         execution = store.get_execution(report.execution_ids["trainer"])
         assert execution.get("failure_kind") == "injected"
+        assert not [w for w in recwarn.list
+                    if issubclass(w.category, DeprecationWarning)]
