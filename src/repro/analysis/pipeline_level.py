@@ -207,11 +207,14 @@ def analyzer_usage(store: MetadataStore,
         for name in seen:
             presence[name] += 1
     total_usage = sum(usage.values())
+    # Sorted keys: set iteration order varies with PYTHONHASHSEED.
     return {
-        "presence": {name: presence[name] / n_pipelines
-                     for name in presence} if n_pipelines else {},
-        "usage": {name: usage[name] / total_usage
-                  for name in usage} if total_usage else {},
+        "presence": {name: count / n_pipelines
+                     for name, count in sorted(presence.items())}
+        if n_pipelines else {},
+        "usage": {name: count / total_usage
+                  for name, count in sorted(usage.items())}
+        if total_usage else {},
     }
 
 
@@ -251,7 +254,7 @@ def operator_presence(store: MetadataStore,
     if not n_pipelines:
         return {}
     return {group: count / n_pipelines
-            for group, count in group_counts.items()}
+            for group, count in sorted(group_counts.items())}
 
 
 def operator_type_presence(store: MetadataStore,

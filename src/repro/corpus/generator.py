@@ -250,7 +250,7 @@ def _tally(record: PipelineRecord, report) -> None:
 
 def _truncate(schema, n: int):
     from ..data.schema import Schema
-    return Schema(features=schema.features[:n])
+    return Schema.from_columns(schema.columns().head(n))
 
 
 def generate_corpus(config: CorpusConfig | None = None,

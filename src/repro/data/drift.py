@@ -6,6 +6,15 @@ long-running pipelines show higher data volatility. This module supplies
 the drift machinery the corpus generator uses to reproduce that: a
 slowly-varying random-walk state per feature, with occasional shocks
 (schema-change-like events) that data validation would flag.
+
+The walk state is columnar. Numeric features carry four offsets (mean,
+log-scale, mixture weight, mode position) and categorical features one
+(the Zipf exponent), each held as an array in schema order. A step makes
+one normal draw with one standard deviation per offset, laid out feature
+by feature in schema order, so the rng stream is the same as drawing the
+offsets one at a time. The drifted schema it returns is built from
+arrays (:meth:`Schema.from_columns`), so its feature specs are only
+built if a caller reads them.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schema import FeatureType, Schema
+from .schema import DomainColumns, Schema
 
 
 @dataclass
@@ -62,13 +71,24 @@ class DriftProcess:
     schema: Schema
     rng: np.random.Generator
     config: DriftConfig = field(default_factory=DriftConfig)
-    _mean_offsets: dict[str, float] = field(default_factory=dict)
-    _scale_offsets: dict[str, float] = field(default_factory=dict)
-    _weight_offsets: dict[str, float] = field(default_factory=dict)
-    _modepos_offsets: dict[str, float] = field(default_factory=dict)
-    _zipf_offsets: dict[str, float] = field(default_factory=dict)
     _steps: int = 0
     _shocks: int = 0
+
+    def __post_init__(self) -> None:
+        self._base = self.schema.columns()
+        kinds = self._base.is_categorical
+        # Draw slots per feature in schema order: numeric features take
+        # four (mean, scale, weight, mode position), categorical ones one
+        # (Zipf). _slot_param maps each slot to its DriftConfig step size.
+        widths = np.where(kinds, 1, 4)
+        starts = np.cumsum(widths) - widths
+        self._numeric_slots = starts[~kinds] + np.arange(4)[:, None]
+        self._zipf_slots = starts[kinds]
+        self._slot_param = np.full(int(widths.sum()), 4)
+        self._slot_param[self._numeric_slots] = np.arange(4)[:, None]
+        #: Rows: mean, log-scale, mixture weight, mode position.
+        self._numeric_offsets = np.zeros((4, int((~kinds).sum())))
+        self._zipf_offsets = np.zeros(int(kinds.sum()))
 
     def step(self) -> Schema:
         """Advance one drift step; return the drifted schema snapshot."""
@@ -77,49 +97,31 @@ class DriftProcess:
         if shock:
             self._shocks += 1
         self._steps += 1
-        for spec in self.schema:
-            if spec.type is FeatureType.NUMERIC:
-                self._mean_offsets[spec.name] = (
-                    self._mean_offsets.get(spec.name, 0.0)
-                    + self.rng.normal(
-                        0.0, self.config.numeric_mean_step * scale)
-                    * spec.numeric.stddev)
-                self._scale_offsets[spec.name] = (
-                    self._scale_offsets.get(spec.name, 0.0)
-                    + self.rng.normal(
-                        0.0, self.config.numeric_scale_step * scale))
-                self._weight_offsets[spec.name] = (
-                    self._weight_offsets.get(spec.name, 0.0)
-                    + self.rng.normal(
-                        0.0, self.config.numeric_weight_step * scale))
-                self._modepos_offsets[spec.name] = (
-                    self._modepos_offsets.get(spec.name, 0.0)
-                    + self.rng.normal(
-                        0.0, self.config.numeric_offset_step * scale))
-            else:
-                self._zipf_offsets[spec.name] = (
-                    self._zipf_offsets.get(spec.name, 0.0)
-                    + self.rng.normal(0.0, self.config.zipf_step * scale))
+        config = self.config
+        step_sizes = np.array([
+            config.numeric_mean_step, config.numeric_scale_step,
+            config.numeric_weight_step, config.numeric_offset_step,
+            config.zipf_step]) * scale
+        draws = self.rng.normal(0.0, step_sizes[self._slot_param])
+        numeric = draws[self._numeric_slots]
+        numeric[0] *= self._base.stddev
+        self._numeric_offsets += numeric
+        self._zipf_offsets += draws[self._zipf_slots]
         return self.current()
 
     def current(self) -> Schema:
         """The drifted schema at the current step (no state change)."""
-        drifted = []
-        for spec in self.schema:
-            if spec.type is FeatureType.NUMERIC:
-                domain = spec.numeric.shifted(
-                    self._mean_offsets.get(spec.name, 0.0),
-                    float(np.exp(self._scale_offsets.get(spec.name, 0.0))),
-                    weight_delta=self._weight_offsets.get(spec.name, 0.0),
-                    offset_delta=self._modepos_offsets.get(spec.name, 0.0))
-                drifted.append(type(spec)(name=spec.name, type=spec.type,
-                                          numeric=domain))
-            else:
-                domain = spec.categorical.shifted(
-                    self._zipf_offsets.get(spec.name, 0.0), 1.0)
-                drifted.append(type(spec)(name=spec.name, type=spec.type,
-                                          categorical=domain))
-        return Schema(features=drifted)
+        base = self._base
+        mean, log_scale, weight, mode_offset = self._numeric_offsets
+        return Schema.from_columns(DomainColumns(
+            names=base.names, is_categorical=base.is_categorical,
+            mean=base.mean + mean,
+            stddev=np.maximum(1e-6, base.stddev * np.exp(log_scale)),
+            mode_weight=np.minimum(
+                np.maximum(base.mode_weight + weight, 0.0), 0.5),
+            mode_offset=base.mode_offset + mode_offset,
+            unique_values=np.maximum(11, base.unique_values),
+            zipf_s=np.maximum(0.2, base.zipf_s + self._zipf_offsets)))
 
     @property
     def drift_magnitude(self) -> float:
@@ -129,12 +131,9 @@ class DriftProcess:
         corpus generator uses this as the latent "data quality" signal
         feeding the push mechanism.
         """
-        offsets = (list(self._mean_offsets.values())
-                   + list(self._scale_offsets.values())
-                   + list(self._weight_offsets.values())
-                   + list(self._modepos_offsets.values())
-                   + list(self._zipf_offsets.values()))
-        if not offsets:
+        offsets = np.concatenate([self._numeric_offsets.ravel(),
+                                  self._zipf_offsets])
+        if not offsets.size:
             return 0.0
         return float(np.mean(np.abs(offsets)))
 

@@ -1,15 +1,21 @@
 """Random schema and statistics-only span generation.
 
-Two generation paths exist:
+:func:`synthesize_span_statistics` computes a span's summary statistics
+*analytically* from the schema's generative domains (plus sampling
+noise); the corpus generator uses it because it must emit hundreds of
+thousands of spans quickly. :func:`repro.data.spans.materialize_span`
+instead samples actual rows, for the real-execution path (examples,
+operator tests). Both produce the same
+:class:`~repro.data.statistics.SpanStatistics` shape, and a test checks
+that they agree in distribution.
 
-* :func:`repro.data.spans.materialize_span` samples actual rows — used by
-  the real-execution path (examples, operator tests).
-* :func:`synthesize_span_statistics` computes a span's summary statistics
-  *analytically* from the schema's generative domains (plus sampling
-  noise) — used by the corpus generator, which must emit hundreds of
-  thousands of spans quickly. Both paths produce the same
-  :class:`~repro.data.statistics.SpanStatistics` shape, and a test
-  verifies they agree in distribution.
+Synthesis is columnar: one kernel per span computes every numeric
+histogram from the ``(n_numeric, NUM_BINS + 1)`` bin edges and every
+categorical top-10 from the ``(n_categorical, TOP_K_TERMS)`` Zipf head,
+and the span's sampling noise is one ``(n_features, 10)`` lognormal draw
+whose row i perturbs feature i. The kernel reads the schema's
+:meth:`~repro.data.schema.Schema.columns`; the per-feature statistics
+objects are built from its rows.
 
 Schema generation is calibrated to Section 3.2: the majority of pipelines
 use up to 100 features with a heavy tail to tens of thousands; ~53% of
@@ -26,6 +32,7 @@ from scipy.special import ndtr
 
 from .schema import (
     CategoricalDomain,
+    DomainColumns,
     FeatureSpec,
     FeatureType,
     NumericDomain,
@@ -111,52 +118,56 @@ def random_schema(rng: np.random.Generator,
     return Schema(features=features)
 
 
-def _analytic_numeric_histogram(domain: NumericDomain,
-                                rng: np.random.Generator,
-                                noise: float) -> NumericStatistics:
-    """Histogram of the domain's normal mixture, 10 bins over its range."""
-    mean, stddev = domain.mean, max(domain.stddev, 1e-9)
-    second_mean = mean + domain.mode_offset * stddev
-    low = min(mean, second_mean) - 3.0 * stddev
-    high = max(mean, second_mean) + 3.0 * stddev
-    edges = np.linspace(low, high, NUM_BINS + 1)
-    weight = domain.mode_weight
-    cdf = ((1.0 - weight) * ndtr((edges - mean) / stddev)
-           + weight * ndtr((edges - second_mean) / stddev))
-    mass = np.diff(cdf)
-    if noise > 0:
-        mass = mass * rng.lognormal(0.0, noise, size=NUM_BINS)
+#: Zipf ranks of the retained head terms.
+_RANKS = np.arange(1, TOP_K_TERMS + 1, dtype=float)
+
+
+def _numeric_histograms(columns: DomainColumns, noise: np.ndarray | None
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each numeric feature's normal-mixture histogram, 10 bins over its
+    range: one ``(n_numeric, NUM_BINS)`` mass matrix, lows and highs."""
+    mean, stddev = columns.mean, np.maximum(columns.stddev, 1e-9)
+    second_mean = mean + columns.mode_offset * stddev
+    low = np.minimum(mean, second_mean) - 3.0 * stddev
+    high = np.maximum(mean, second_mean) + 3.0 * stddev
+    # linspace lays rows out column-major; the row sums below must run
+    # along a contiguous last axis to round as the 1-D sum does.
+    edges = np.ascontiguousarray(
+        np.linspace(low, high, NUM_BINS + 1, axis=-1))
+    weight = columns.mode_weight[:, None]
+    cdf = ((1.0 - weight) * ndtr((edges - mean[:, None]) / stddev[:, None])
+           + weight * ndtr((edges - second_mean[:, None])
+                           / stddev[:, None]))
+    mass = np.diff(cdf, axis=-1)
+    if noise is not None:
+        mass = mass * noise
     mass = np.clip(mass, 1e-12, None)
-    mass = mass / mass.sum()
-    return NumericStatistics(histogram=mass, low=low, high=high, count=0)
+    return mass / mass.sum(axis=-1, keepdims=True), low, high
 
 
-def _analytic_top_counts(domain: CategoricalDomain, num_examples: int,
-                         rng: np.random.Generator,
-                         noise: float) -> CategoricalStatistics:
-    """Top-10 Zipf term counts without sampling the (huge) term space."""
-    n = domain.unique_values
-    s = domain.zipf_s
-    ranks = np.arange(1, TOP_K_TERMS + 1, dtype=float)
-    head = ranks ** (-s)
-    # Total mass approximated by head sum + integral tail.
+def _zipf_tail(n: int, s: float) -> float:
+    """Zipf mass beyond the head terms, as an integral (Python floats:
+    ``n ** (1 - s)`` must round as the scalar ``pow`` does)."""
     cap = float(TOP_K_TERMS)
     if abs(s - 1.0) < 1e-9:
-        tail = math.log(n / cap) if n > cap else 0.0
-    else:
-        tail = max((n ** (1 - s) - cap ** (1 - s)) / (1 - s), 0.0)
-    total_mass = head.sum() + tail
-    probs = head / total_mass
-    counts = probs * num_examples
-    if noise > 0:
-        counts = counts * rng.lognormal(0.0, noise, size=TOP_K_TERMS)
-    counts = np.maximum(np.sort(counts)[::-1], 0.0)
-    unique = min(n, num_examples)
-    return CategoricalStatistics(
-        top_counts=[int(round(c)) for c in counts],
-        unique_count=int(unique),
-        total_count=num_examples,
-        domain_size=int(n))
+        return math.log(n / cap) if n > cap else 0.0
+    return max((n ** (1 - s) - cap ** (1 - s)) / (1 - s), 0.0)
+
+
+def _top_counts(columns: DomainColumns, num_examples: int,
+                noise: np.ndarray | None) -> np.ndarray:
+    """Each categorical feature's top-10 Zipf term counts, descending,
+    without sampling the (huge) term space: ``(n_categorical, 10)``."""
+    head = _RANKS ** -columns.zipf_s[:, None]
+    tail = [_zipf_tail(n, s) for n, s in zip(columns.unique_values.tolist(),
+                                             columns.zipf_s.tolist())]
+    # Total mass approximated by head sum + integral tail.
+    total_mass = head.sum(axis=-1) + np.array(tail, dtype=float)
+    counts = head / total_mass[:, None] * num_examples
+    if noise is not None:
+        counts = counts * noise
+    counts = np.maximum(np.sort(counts, axis=-1)[:, ::-1], 0.0)
+    return np.rint(counts).astype(np.int64)
 
 
 def synthesize_span_statistics(schema: Schema, num_examples: int,
@@ -168,18 +179,34 @@ def synthesize_span_statistics(schema: Schema, num_examples: int,
     term counts to emulate finite-sample variation; with ``noise=0`` the
     statistics are the exact expectations.
     """
+    columns = schema.columns()
+    kinds = columns.is_categorical
+    numeric_noise = categorical_noise = None
+    if noise > 0:
+        # NUM_BINS == TOP_K_TERMS: every feature takes one noise row.
+        draws = rng.lognormal(0.0, noise, size=(len(kinds), NUM_BINS))
+        numeric_noise, categorical_noise = draws[~kinds], draws[kinds]
+    histograms, lows, highs = _numeric_histograms(columns, numeric_noise)
+    numeric = zip(histograms, lows.tolist(), highs.tolist())
+    categorical = zip(
+        _top_counts(columns, num_examples, categorical_noise).tolist(),
+        np.minimum(columns.unique_values, num_examples).tolist(),
+        columns.unique_values.tolist())
     features: dict[str, FeatureStatistics] = {}
-    for spec in schema:
-        if spec.type is FeatureType.NUMERIC:
-            features[spec.name] = FeatureStatistics(
-                name=spec.name, type=spec.type,
-                numeric=_analytic_numeric_histogram(spec.numeric, rng,
-                                                    noise))
+    for name, is_categorical in zip(columns.names, kinds.tolist()):
+        if is_categorical:
+            top_counts, unique, domain_size = next(categorical)
+            features[name] = FeatureStatistics(
+                name=name, type=FeatureType.CATEGORICAL,
+                categorical=CategoricalStatistics(
+                    top_counts=top_counts, unique_count=unique,
+                    total_count=num_examples, domain_size=domain_size))
         else:
-            features[spec.name] = FeatureStatistics(
-                name=spec.name, type=spec.type,
-                categorical=_analytic_top_counts(
-                    spec.categorical, num_examples, rng, noise))
+            histogram, low, high = next(numeric)
+            features[name] = FeatureStatistics(
+                name=name, type=FeatureType.NUMERIC,
+                numeric=NumericStatistics(histogram=histogram, low=low,
+                                          high=high, count=0))
     return SpanStatistics(features=features, num_examples=num_examples)
 
 

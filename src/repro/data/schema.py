@@ -10,7 +10,9 @@ pipeline's feature space; data spans are generated against it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 class FeatureType(enum.Enum):
@@ -93,18 +95,52 @@ class FeatureSpec:
         return self.type is FeatureType.CATEGORICAL
 
 
-@dataclass
 class Schema:
     """The feature space of a pipeline's input data.
+
+    A schema built by :meth:`from_columns` keeps its domains as arrays
+    and builds the specs only when ``features`` is first read; from then
+    on the specs are authoritative. The span kernels read
+    :meth:`columns`, so a drifted schema never builds its specs.
 
     Attributes:
         features: Ordered feature specs; order is stable across spans.
     """
 
-    features: list[FeatureSpec] = field(default_factory=list)
+    def __init__(self, features: list[FeatureSpec] | None = None) -> None:
+        self._features = [] if features is None else features
+        self._columns: DomainColumns | None = None
+
+    @classmethod
+    def from_columns(cls, columns: "DomainColumns") -> "Schema":
+        """A schema whose domains are ``columns``."""
+        schema = cls()
+        schema._features, schema._columns = None, columns
+        return schema
+
+    @property
+    def features(self) -> list[FeatureSpec]:
+        if self._features is None:
+            self._features = self._columns.specs()
+            self._columns = None
+        return self._features
+
+    @features.setter
+    def features(self, features: list[FeatureSpec]) -> None:
+        self._features, self._columns = features, None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Schema):
+            return NotImplemented
+        return self.features == other.features
+
+    def __repr__(self) -> str:
+        return f"Schema(features={self.features!r})"
 
     def __len__(self) -> int:
-        return len(self.features)
+        if self._features is None:
+            return len(self._columns.names)
+        return len(self._features)
 
     def __iter__(self):
         return iter(self.features)
@@ -144,9 +180,80 @@ class Schema:
             return 0.0
         return sum(sizes) / len(sizes)
 
+    def columns(self) -> "DomainColumns":
+        """The generative domains as arrays, in schema order."""
+        if self._features is None:
+            return self._columns
+        numeric = [f.numeric for f in self.features if not f.is_categorical]
+        categorical = [f.categorical for f in self.features
+                       if f.is_categorical]
+        return DomainColumns(
+            names=[f.name for f in self.features],
+            is_categorical=np.array([f.is_categorical for f in self.features],
+                                    dtype=bool),
+            mean=np.array([d.mean for d in numeric], dtype=float),
+            stddev=np.array([d.stddev for d in numeric], dtype=float),
+            mode_weight=np.array([d.mode_weight for d in numeric],
+                                 dtype=float),
+            mode_offset=np.array([d.mode_offset for d in numeric],
+                                 dtype=float),
+            unique_values=np.array([d.unique_values for d in categorical],
+                                   dtype=np.int64),
+            zipf_s=np.array([d.zipf_s for d in categorical], dtype=float))
+
     def feature(self, name: str) -> FeatureSpec:
         """Return the feature spec with the given name."""
         for spec in self.features:
             if spec.name == name:
                 return spec
         raise KeyError(f"no feature named {name!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class DomainColumns:
+    """A schema's generative domains as arrays (the columnar view).
+
+    ``names`` and ``is_categorical`` have one entry per feature. Each
+    numeric array has one entry per numeric feature and each categorical
+    array one per categorical feature, in schema order within the kind.
+    """
+
+    names: list[str]
+    is_categorical: np.ndarray
+    mean: np.ndarray
+    stddev: np.ndarray
+    mode_weight: np.ndarray
+    mode_offset: np.ndarray
+    unique_values: np.ndarray
+    zipf_s: np.ndarray
+
+    def head(self, n: int) -> "DomainColumns":
+        """The columns of the first ``n`` features."""
+        kinds = self.is_categorical[:n]
+        n_categorical = int(kinds.sum())
+        n_numeric = len(kinds) - n_categorical
+        return DomainColumns(
+            names=self.names[:n], is_categorical=kinds,
+            mean=self.mean[:n_numeric], stddev=self.stddev[:n_numeric],
+            mode_weight=self.mode_weight[:n_numeric],
+            mode_offset=self.mode_offset[:n_numeric],
+            unique_values=self.unique_values[:n_categorical],
+            zipf_s=self.zipf_s[:n_categorical])
+
+    def specs(self) -> list[FeatureSpec]:
+        """One feature spec per feature, in schema order."""
+        numeric = zip(self.mean.tolist(), self.stddev.tolist(),
+                      self.mode_weight.tolist(), self.mode_offset.tolist())
+        categorical = zip(self.unique_values.tolist(), self.zipf_s.tolist())
+        specs = []
+        for name, is_categorical in zip(self.names,
+                                        self.is_categorical.tolist()):
+            if is_categorical:
+                specs.append(FeatureSpec(
+                    name=name, type=FeatureType.CATEGORICAL,
+                    categorical=CategoricalDomain(*next(categorical))))
+            else:
+                specs.append(FeatureSpec(
+                    name=name, type=FeatureType.NUMERIC,
+                    numeric=NumericDomain(*next(numeric))))
+        return specs

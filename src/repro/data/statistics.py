@@ -81,7 +81,7 @@ class CategoricalStatistics:
 
     def __post_init__(self) -> None:
         self.top_counts = [int(c) for c in self.top_counts]
-        if any(c < 0 for c in self.top_counts):
+        if self.top_counts and min(self.top_counts) < 0:
             raise ValueError("term counts must be non-negative")
         if sorted(self.top_counts, reverse=True) != self.top_counts:
             self.top_counts = sorted(self.top_counts, reverse=True)
@@ -196,6 +196,74 @@ class SpanStatistics:
         """Names of all summarized features."""
         return list(self.features)
 
+    def distributions(self) -> np.ndarray:
+        """Every feature's standardized distribution as one matrix.
+
+        Row i equals the i-th feature's ``distribution()`` bit for bit.
+        Numeric rows and the common huge-domain categorical rows (all ten
+        top terms inside the first bin) are standardized as matrices,
+        with reductions along the contiguous last axis, where numpy
+        rounds exactly as on a 1-D row. Any other row comes from its
+        feature's own ``distribution()``.
+        """
+        stats = list(self.features.values())
+        out = np.empty((len(stats), NUM_BINS))
+        done = np.zeros(len(stats), dtype=bool)
+        numeric = [i for i, f in enumerate(stats)
+                   if f.type is FeatureType.NUMERIC and f.numeric is not None]
+        if numeric:
+            histograms = np.array([stats[i].numeric.histogram
+                                   for i in numeric])
+            totals = histograms.sum(axis=-1, keepdims=True)
+            filled = ~(totals <= 0)
+            out[numeric] = np.where(
+                filled, histograms / np.where(filled, totals, 1.0),
+                1.0 / NUM_BINS)
+            done[numeric] = True
+        categorical = np.array(
+            [i for i, f in enumerate(stats)
+             if f.type is FeatureType.CATEGORICAL and f.categorical is not None
+             and len(f.categorical.top_counts) == TOP_K_TERMS], dtype=int)
+        if categorical.size:
+            fast, rows = _huge_domain_distributions(
+                [stats[i].categorical for i in categorical])
+            out[categorical[fast]] = rows
+            done[categorical[fast]] = True
+        for i in np.flatnonzero(~done):
+            out[i] = stats[i].distribution()
+        return out
+
+
+def _huge_domain_distributions(features: list[CategoricalStatistics]
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """``CategoricalStatistics.distribution``'s fast path as a matrix.
+
+    Every feature holds :data:`TOP_K_TERMS` top counts. Returns the mask
+    of features on the fast path (more unique terms than top terms, and
+    the top terms no wider than the first bin) and their distributions.
+    """
+    unique = np.array([f.unique_count for f in features], dtype=np.int64)
+    n_unique = np.maximum(unique, TOP_K_TERMS)
+    head_width = TOP_K_TERMS / n_unique
+    bin_width = 1.0 / NUM_BINS
+    fast = (n_unique > TOP_K_TERMS) & (head_width <= bin_width)
+    picked = [f for f, keep in zip(features, fast.tolist()) if keep]
+    if not picked:
+        return fast, np.empty((0, NUM_BINS))
+    head_width = head_width[fast][:, None]
+    counts = np.array([f.top_counts for f in picked], dtype=np.int64)
+    total = np.maximum(np.array([f.total_count for f in picked],
+                                dtype=np.int64), counts.sum(axis=-1))
+    top = counts.astype(float) / np.maximum(total, 1)[:, None]
+    top_mass = top.sum(axis=-1, keepdims=True)
+    density = np.maximum(0.0, 1.0 - top_mass) / (1.0 - head_width)
+    rows = np.repeat(density * bin_width, NUM_BINS, axis=1)
+    rows[:, :1] = top_mass + density * (bin_width - head_width)
+    mass = rows.sum(axis=-1, keepdims=True)
+    positive = mass > 0
+    return fast, np.where(positive, rows / np.where(positive, mass, 1.0),
+                          1.0 / NUM_BINS)
+
 
 def numeric_statistics_from_values(values: np.ndarray) -> NumericStatistics:
     """Compute a :class:`NumericStatistics` from materialized values."""
@@ -208,7 +276,14 @@ def numeric_statistics_from_values(values: np.ndarray) -> NumericStatistics:
         histogram = np.zeros(NUM_BINS)
         histogram[0] = float(values.size)
     else:
-        histogram, _ = np.histogram(values, bins=NUM_BINS, range=(low, high))
+        edges = np.linspace(low, high, NUM_BINS + 1)
+        if np.all(edges[:-1] < edges[1:]):
+            histogram, _ = np.histogram(values, bins=NUM_BINS,
+                                        range=(low, high))
+        else:
+            # A range only a few ulps wide has repeated edges, which numpy
+            # refuses as equal-width bins; count against the edges instead.
+            histogram, _ = np.histogram(values, bins=edges)
         histogram = histogram.astype(float)
     return NumericStatistics(histogram=histogram, low=low, high=high,
                              count=int(values.size))

@@ -86,20 +86,17 @@ class SpanDigest:
 
 def digest_span(statistics: SpanStatistics,
                 hasher: S2JSDHasher = DEFAULT_HASHER) -> SpanDigest:
-    """Digest a span's summary statistics (hashing vectorized)."""
-    names: list[str] = []
-    cats: list[bool] = []
-    rows: list[np.ndarray] = []
-    for name, stats in statistics.features.items():
-        names.append(name)
-        cats.append(stats.type is FeatureType.CATEGORICAL)
-        rows.append(stats.distribution())
-    if not rows:
-        return SpanDigest(features=[])
-    hashes = hasher.hash_many(np.vstack(rows))
+    """Digest a span's summary statistics.
+
+    All distributions are standardized as one matrix and hashed with one
+    ``hash_many`` call.
+    """
+    hashes = hasher.hash_many(statistics.distributions()).tolist()
     return SpanDigest(features=[
-        FeatureDigest(name=name, is_categorical=cat, dist_hash=int(h))
-        for name, cat, h in zip(names, cats, hashes)
+        FeatureDigest(name=name,
+                      is_categorical=stats.type is FeatureType.CATEGORICAL,
+                      dist_hash=h)
+        for (name, stats), h in zip(statistics.features.items(), hashes)
     ])
 
 

@@ -8,8 +8,10 @@ total in Figure 7) — the cost model charges ingestion accordingly.
 
 from __future__ import annotations
 
+from ...data.schema import FeatureType
 from ...data.spans import DataSpan
-from ...similarity.feature_metric import SpanDigest, digest_span
+from ...similarity.feature_metric import FeatureDigest, SpanDigest
+from ...similarity.lsh import DEFAULT_HASHER
 from .. import artifacts as A
 from ..cost import OperatorGroup
 from .base import Operator, OperatorContext, OperatorResult, OutputArtifact
@@ -27,16 +29,19 @@ def anonymized_digest(span: DataSpan,
     The corpus anonymizes feature names (Appendix B), so names never
     match across *different* spans — the similarity metric's name term
     only fires when two graphlets literally share a span artifact. We
-    replicate that by salting names with the span id.
+    replicate that by salting names with the span id. All of the span's
+    distributions are hashed with one ``hash_many`` call, as in
+    :func:`~repro.similarity.feature_metric.digest_span`.
     """
-    digest = digest_span(span.statistics)
-    truncated = digest.features[:max_features]
-    renamed = [
-        type(f)(name=f"s{span.span_id}:{index}",
-                is_categorical=f.is_categorical, dist_hash=f.dist_hash)
-        for index, f in enumerate(truncated)
-    ]
-    return SpanDigest(features=renamed)
+    stats = span.statistics
+    hashes = DEFAULT_HASHER.hash_many(stats.distributions())[:max_features]
+    return SpanDigest(features=[
+        FeatureDigest(name=f"s{span.span_id}:{index}",
+                      is_categorical=f.type is FeatureType.CATEGORICAL,
+                      dist_hash=h)
+        for index, (f, h) in enumerate(zip(stats.features.values(),
+                                           hashes.tolist()))
+    ])
 
 
 class ExampleGen(Operator):

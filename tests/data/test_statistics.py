@@ -122,3 +122,12 @@ class TestDistributionProperties:
     def test_numeric_histogram_counts_everything(self, values):
         stats = numeric_statistics_from_values(np.asarray(values))
         assert stats.histogram.sum() == pytest.approx(len(values))
+
+    def test_numeric_histogram_on_range_few_ulps_wide(self):
+        # linspace over two adjacent floats repeats edges; every value
+        # must still land in a bin, the extremes in the outer ones.
+        values = np.array([-1e6, np.nextafter(-1e6, 0.0)])
+        stats = numeric_statistics_from_values(values)
+        assert stats.histogram.sum() == 2.0
+        assert stats.histogram[-1] == 1.0
+        assert (stats.low, stats.high) == (values[0], values[1])
