@@ -28,12 +28,16 @@ context id + index version) on repeated calls.
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
 from ..mlmd import MetadataStore
 from ..mlmd.errors import InvalidQueryError
 from ..obs.metrics import get_registry
 from ..obs.tracing import span
 from .graphlet import DATA_ANALYSIS_TYPES, STOP_TYPES, Graphlet
+
+if TYPE_CHECKING:
+    from ..query import MetadataClient
 
 
 def _ancestor_executions(store: MetadataStore, trainer_id: int) -> set[int]:
@@ -71,29 +75,64 @@ def _descendant_executions(store: MetadataStore, trainer_id: int
     return seen
 
 
-def _io_artifacts(store: MetadataStore, execution_ids: set[int],
-                  exclude_foreign_models: bool) -> set[int]:
-    """Input/output artifacts of the executions.
+def _foreign_model(store: MetadataStore, artifact_id: int,
+                   execution_ids: set[int]) -> bool:
+    """True for a Model/PushedModel produced only outside the executions.
 
-    When ``exclude_foreign_models`` is set, Model artifacts produced by
-    executions outside the set are dropped — they are the cut warm-start
-    inputs belonging to the neighboring graphlet.
+    Such an artifact is a cut warm-start input belonging to the
+    neighboring graphlet.
     """
-    artifact_ids: set[int] = set()
-    for execution_id in execution_ids:
-        artifact_ids.update(store.get_input_artifact_ids(execution_id))
-        artifact_ids.update(store.get_output_artifact_ids(execution_id))
-    if not exclude_foreign_models:
-        return artifact_ids
-    kept: set[int] = set()
-    for artifact_id in artifact_ids:
-        artifact = store.get_artifact(artifact_id)
-        if artifact.type_name in ("Model", "PushedModel"):
-            producers = set(store.get_producer_execution_ids(artifact_id))
-            if producers and not (producers & execution_ids):
+    if store.get_artifact(artifact_id).type_name not in ("Model",
+                                                         "PushedModel"):
+        return False
+    producers = store.get_producer_execution_ids(artifact_id)
+    return bool(producers) and execution_ids.isdisjoint(producers)
+
+
+def _analysis_closure(store: MetadataClient,
+                      executions: set[int]) -> set[int]:
+    """Rule (b): add data-analysis consumers; return the graphlet artifacts.
+
+    A worklist over artifacts. Each execution that joins ``executions``
+    (grown in place) admits its input/output artifacts, minus foreign
+    Models; each admitted artifact has its consumers scanned exactly
+    once, and the data-analysis ones join in turn. That captures whole
+    analysis chains (span → statistics → schema → validation). An
+    excluded Model is admitted later if its producer joins, because it
+    is among that producer's outputs. The result is the least fixpoint
+    of "every data-analysis consumer of a graphlet artifact is in the
+    graphlet", and the admitted artifacts are exactly the I/O artifacts
+    of the final executions minus foreign Models.
+    """
+    by_type = store.indexes.executions_by_type
+    analysis = [by_type.get(t, {}) for t in DATA_ANALYSIS_TYPES]
+    artifacts: set[int] = set()
+    frontier: list[int] = []
+
+    def admit(execution_id: int) -> None:
+        for artifact_ids in (store.get_input_artifact_ids(execution_id),
+                             store.get_output_artifact_ids(execution_id)):
+            for artifact_id in artifact_ids:
+                if artifact_id in artifacts or _foreign_model(
+                        store, artifact_id, executions):
+                    continue
+                artifacts.add(artifact_id)
+                frontier.append(artifact_id)
+
+    for execution_id in list(executions):
+        admit(execution_id)
+    # Consumers whose membership is decided: a span's consumers recur
+    # across the graphlet's artifacts (every trainer of a rolling window).
+    decided = set(executions)
+    while frontier:
+        for consumer in store.get_consumer_execution_ids(frontier.pop()):
+            if consumer in decided:
                 continue
-        kept.add(artifact_id)
-    return kept
+            decided.add(consumer)
+            if any(consumer in ids for ids in analysis):
+                executions.add(consumer)
+                admit(consumer)
+    return artifacts
 
 
 def segment_trainer(store: MetadataStore, trainer_id: int,
@@ -108,28 +147,10 @@ def segment_trainer(store: MetadataStore, trainer_id: int,
     executions = {trainer_id}
     executions |= _ancestor_executions(store, trainer_id)
     executions |= _descendant_executions(store, trainer_id)
-    artifacts = _io_artifacts(store, executions,
-                              exclude_foreign_models=True)
     # Rule (b): data-analysis/validation executions over collected
     # artifacts (per-span statistics, schema inference, and validation
-    # runs). Iterated to fixpoint so analysis chains (span → statistics →
-    # schema → validation) are captured whole.
-    changed = True
-    while changed:
-        changed = False
-        artifacts = _io_artifacts(store, executions,
-                                  exclude_foreign_models=True)
-        for artifact_id in artifacts:
-            for consumer in store.get_consumer_execution_ids(artifact_id):
-                if consumer in executions:
-                    continue
-                if store.get_execution(consumer).type_name \
-                        not in DATA_ANALYSIS_TYPES:
-                    continue
-                executions.add(consumer)
-                changed = True
-    artifacts = _io_artifacts(store, executions,
-                              exclude_foreign_models=True)
+    # runs), one consumer scan per artifact.
+    artifacts = _analysis_closure(store, executions)
     return Graphlet(store=store, pipeline_context_id=pipeline_context_id,
                     trainer_execution_id=trainer_id,
                     execution_ids=executions, artifact_ids=artifacts)

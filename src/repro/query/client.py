@@ -16,7 +16,9 @@ indexes stay current incrementally, and exposes
 * batched :meth:`get_many` / :meth:`neighbors_many` calls;
 * an LRU-cached graphlet segmenter (:meth:`segment_pipeline`) keyed on
   ``(context_id, index version)`` so repeated segmentation of an
-  unchanged pipeline is a dictionary hit.
+  unchanged pipeline is a dictionary hit;
+* a decode-once memo of DataSpan digests (:meth:`span_digest`), dropped
+  whenever the index version moves.
 
 Use :func:`as_client` at API boundaries: it passes clients through
 untouched and lazily attaches (and caches) a client on a raw store, so
@@ -38,6 +40,7 @@ from ..mlmd.types import (
     Execution,
     TelemetryRecord,
 )
+from ..similarity.feature_metric import SpanDigest
 from .indexes import IndexSet
 
 if TYPE_CHECKING:
@@ -76,6 +79,8 @@ class MetadataClient:
         self._segment_cache_size = segment_cache_size
         self.segment_cache_hits = 0
         self.segment_cache_misses = 0
+        self._digests: dict[int, SpanDigest] = {}
+        self._digests_version = -1
         store.subscribe(self.indexes.apply)
         self.indexes.build(store)
 
@@ -329,6 +334,27 @@ class MetadataClient:
                 f"unknown relation {relation!r}; expected one of "
                 f"{RELATIONS}")
         return {i: list(adjacency.get(i, ())) for i in ids}
+
+    # --------------------------------------------------- decoded digests
+
+    def span_digest(self, artifact_id: int) -> SpanDigest:
+        """The Appendix-B digest recorded on a DataSpan artifact.
+
+        Decoded once per artifact and memoized; the memo is dropped
+        whenever the index version moves, the same staleness rule as the
+        segmentation cache, so a rewritten ``digest_*`` property is
+        decoded afresh. Callers share the returned digest and must not
+        mutate it.
+        """
+        if self._digests_version != self.indexes.version:
+            self._digests.clear()
+            self._digests_version = self.indexes.version
+        digest = self._digests.get(artifact_id)
+        if digest is None:
+            digest = SpanDigest.from_properties(
+                self.indexes.artifact(artifact_id).properties)
+            self._digests[artifact_id] = digest
+        return digest
 
     # ------------------------------------------------- cached segmentation
 

@@ -155,6 +155,55 @@ def span_similarity_exact(d1: SpanDigest, d2: SpanDigest,
     return float(min(max(-result.fun, 0.0), 1.0))
 
 
+class _TierIndex:
+    """A digest's lookup tables for the tiered transport.
+
+    Built the first time the digest is compared and kept on it
+    (:func:`_tier_index`): its name → position map (the last position
+    wins for a repeated name) and its positions bucketed by
+    ``(dist_hash, is_categorical)``.
+    """
+
+    __slots__ = ("features", "size", "names", "name_to_j", "keys",
+                 "buckets")
+
+    def __init__(self, features: list[FeatureDigest]) -> None:
+        self.features = features
+        self.size = len(features)
+        self.names = [f.name for f in features]
+        self.name_to_j = {name: j for j, name in enumerate(self.names)}
+        self.keys = [(f.dist_hash, f.is_categorical) for f in features]
+        self.buckets: dict[tuple[int, bool], list[int]] = {}
+        for j, key in enumerate(self.keys):
+            self.buckets.setdefault(key, []).append(j)
+
+
+def _tier_index(digest: SpanDigest) -> _TierIndex:
+    """The digest's :class:`_TierIndex`, rebuilt if its features changed.
+
+    Stored in the instance ``__dict__``, outside the dataclass fields, so
+    equality and repr are unaffected.
+    """
+    index = digest.__dict__.get("_tier_index")
+    if index is None or index.features is not digest.features \
+            or index.size != len(digest.features):
+        index = digest.__dict__["_tier_index"] = _TierIndex(digest.features)
+    return index
+
+
+def _route_pairs(pairs: list[tuple[int, int]], value: float,
+                 supply: list[float], demand: list[float],
+                 total: float) -> float:
+    """Route mass through ``pairs`` in order; returns the running total."""
+    for i, j in pairs:
+        amount = min(supply[i], demand[j])
+        if amount > 0:
+            supply[i] -= amount
+            demand[j] -= amount
+            total += amount * value
+    return total
+
+
 def span_similarity(d1: SpanDigest, d2: SpanDigest, alpha: float = ALPHA,
                     beta: float = BETA) -> float:
     """Fast tiered transport solving the same problem as the exact LP.
@@ -164,38 +213,45 @@ def span_similarity(d1: SpanDigest, d2: SpanDigest, alpha: float = ALPHA,
     name-tier matches form a partial matching; hash-tier matches are
     resolved greedily within hash buckets. On the instances arising from
     span digests this matches the LP optimum (tested); in adversarial
-    generals it is a lower bound.
+    generals it is a lower bound. Equal digests score the LP optimum
+    ``alpha + beta`` (clamped to [0, 1]) directly, so S(D, D) = 1 holds
+    exactly rather than up to summation error.
+
+    Each digest's name map and hash buckets are built once
+    (:func:`_tier_index`). Supply and demand are Python floats, and mass
+    moves in the same order through the same float operations as the
+    transport always has, so results are bit-stable; the name tiers are
+    skipped when the digests share no feature name, which is the case
+    for any two distinct spans of a corpus (names are anonymized per
+    span).
     """
     n, m = d1.feature_count, d2.feature_count
     if n == 0 or m == 0:
         return 0.0
-    supply = np.full(n, 1.0 / n)
-    demand = np.full(m, 1.0 / m)
-    total = 0.0
+    if d1 is d2 or d1 == d2:
+        return float(min(max(alpha + beta, 0.0), 1.0))
+    index1, index2 = _tier_index(d1), _tier_index(d2)
+    supply = [1.0 / n] * n
+    demand = [1.0 / m] * m
+    shared_names = not index1.name_to_j.keys().isdisjoint(index2.name_to_j)
 
-    name_to_j = {f.name: j for j, f in enumerate(d2.features)}
-
-    def _route(i: int, j: int, tier_value: float) -> float:
-        amount = min(supply[i], demand[j])
-        if amount <= 0:
-            return 0.0
-        supply[i] -= amount
-        demand[j] -= amount
-        return amount * tier_value
-
+    # Name matches of the same type: with equal hashes (alpha + beta),
+    # and name-only.
+    both_pairs: list[tuple[int, int]] = []
+    name_pairs: list[tuple[int, int]] = []
+    if shared_names:
+        features2 = d2.features
+        for i, f1 in enumerate(d1.features):
+            j = index2.name_to_j.get(f1.name)
+            if j is None:
+                continue
+            f2 = features2[j]
+            if f1.is_categorical != f2.is_categorical:
+                continue
+            pairs = both_pairs if f1.dist_hash == f2.dist_hash else name_pairs
+            pairs.append((i, j))
     # Tier 1: name + hash match (alpha + beta).
-    pending_name_only: list[tuple[int, int]] = []
-    for i, f1 in enumerate(d1.features):
-        j = name_to_j.get(f1.name)
-        if j is None:
-            continue
-        f2 = d2.features[j]
-        if f1.is_categorical != f2.is_categorical:
-            continue
-        if f1.dist_hash == f2.dist_hash:
-            total += _route(i, j, alpha + beta)
-        else:
-            pending_name_only.append((i, j))
+    total = _route_pairs(both_pairs, alpha + beta, supply, demand, 0.0)
     # Tier 2: the larger of the single-indicator tiers first.
     first_tier, second_tier = ((beta, "name"), (alpha, "hash"))
     if alpha > beta:
@@ -204,21 +260,24 @@ def span_similarity(d1: SpanDigest, d2: SpanDigest, alpha: float = ALPHA,
         if value <= 0:
             continue
         if kind == "name":
-            for i, j in pending_name_only:
-                total += _route(i, j, value)
-        else:
-            buckets: dict[tuple[int, bool], list[int]] = {}
-            for j, f2 in enumerate(d2.features):
-                buckets.setdefault((f2.dist_hash, f2.is_categorical),
-                                   []).append(j)
-            for i, f1 in enumerate(d1.features):
-                if supply[i] <= 0:
-                    continue
-                for j in buckets.get((f1.dist_hash, f1.is_categorical), ()):
-                    if f1.name == d2.features[j].name:
-                        continue  # Already handled at tier 1/name tier.
-                    if supply[i] <= 0:
-                        break
-                    total += _route(i, j, value)
+            total = _route_pairs(name_pairs, value, supply, demand, total)
+            continue
+        names1, names2 = index1.names, index2.names
+        for i, key in enumerate(index1.keys):
+            bucket = index2.buckets.get(key)
+            left = supply[i]
+            if bucket is None or left <= 0:
+                continue
+            for j in bucket:
+                if shared_names and names1[i] == names2[j]:
+                    continue  # Already handled at tier 1/name tier.
+                if left <= 0:
+                    break
+                amount = min(left, demand[j])
+                if amount > 0:
+                    left -= amount
+                    demand[j] -= amount
+                    total += amount * value
+            supply[i] = left
     # Clamp away float-summation overshoot; the metric is in [0, 1].
     return float(min(max(total, 0.0), 1.0))
