@@ -169,7 +169,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                  if fleet.resumed_shards else "")
               + ("" if fleet.used_processes
                  or fleet.workers - fleet.resumed_shards <= 1
-                 else " (process pool unavailable; ran in-process)"))
+                 else " (process spawn unavailable; ran in-process)"))
         print("phases: " + ", ".join(
             f"{name} {seconds:.2f}s"
             for name, seconds in fleet.phase_breakdown().items()))
@@ -913,10 +913,12 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default 3)")
     generate.add_argument("--stall-after", type=float, default=None,
                           metavar="SECONDS",
-                          help="heartbeat silence before a supervised "
-                               "worker counts as hung and is "
-                               "rescheduled (default 30; also recorded "
-                               "in the journal for fleet-status)")
+                          help="heartbeat silence before a worker "
+                               "counts as hung: a supervised run "
+                               "reschedules it, a plain run records "
+                               "the shard failed (default 30; also "
+                               "recorded in the journal for "
+                               "fleet-status)")
     generate.add_argument("--hedge-after", type=float, default=None,
                           metavar="FACTOR",
                           help="hedge a straggling shard once its "

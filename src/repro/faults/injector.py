@@ -18,16 +18,19 @@ import numpy as np
 from ..obs.metrics import get_registry
 from .plan import _WORKER_KINDS, FaultKind, FaultSpec
 
-__all__ = ["FaultInjector", "InjectedFault", "WorkerCrashError",
-           "WorkerHangError", "hint_fault"]
+__all__ = ["KILL_EXIT_CODE", "FaultInjector", "InjectedFault",
+           "WorkerCrashError", "WorkerHangError", "hint_fault"]
+
+#: Exit status of a worker process ended by an injected kill-mode crash.
+KILL_EXIT_CODE = 17
 
 
 class WorkerCrashError(RuntimeError):
     """An injected (or simulated-organic) fleet worker crash.
 
     Raised out of ``run_shard`` in ``mode="raise"``; in ``mode="kill"``
-    the worker process dies outright and the driver observes a broken
-    pool instead.
+    the worker process exits with :data:`KILL_EXIT_CODE` and the
+    supervisor observes a process that died without a result.
     """
 
     def __init__(self, shard_index: int, message: str) -> None:

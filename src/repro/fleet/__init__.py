@@ -14,14 +14,15 @@ The subsystem has three parts, surfaced via
   Section 5) into replayed ``CACHED`` executions with measured saved
   cpu-hours.
 
-Fleet runs are crash-safe: with a shard journal
-(:mod:`repro.faults.journal`) a killed or crashing worker degrades the
-run to a partial-but-valid merged store plus structured
-:class:`ShardFailure` records, and ``resume=True`` re-simulates only
-the failed shards. With ``supervise=True`` the
-:class:`~repro.fleet.supervisor.FleetSupervisor` goes further and
-recovers *in-run*: crashed or hung workers are rescheduled, stragglers
-hedged, and poison shards quarantined behind a structured
+Every shard runs under one scheduler, the
+:class:`~repro.fleet.supervisor.FleetSupervisor`. Fleet runs are
+crash-safe: with a shard journal (:mod:`repro.faults.journal`) a
+killed, crashing or hung worker degrades the run to a
+partial-but-valid merged store plus structured :class:`ShardFailure`
+records, and ``resume=True`` re-simulates only the failed shards. With
+``supervise=True`` the supervisor goes further and recovers *in-run*:
+crashed or hung workers are rescheduled, stragglers hedged, and poison
+shards quarantined behind a structured
 :class:`~repro.fleet.supervisor.DegradationReport`.
 """
 

@@ -1,72 +1,89 @@
-"""In-run fleet supervision: reschedule, hedge, quarantine.
+"""The fleet's one shard scheduler: launch, watch, reschedule, hedge.
 
-Before this module, a fleet run *detected* worker failure (the shard
-journal records it, ``fleet-status`` renders it) but could only act on
-it across runs: exit 3, human re-runs with ``--resume``. Production
-corpora at paper scale (7.7M executions) cannot assume a fault-free
-multi-hour run, so the :class:`FleetSupervisor` closes the detect → act
-loop *inside* the run:
+Every shard of :func:`~repro.fleet.workers.generate_corpus_fleet` runs
+as an attempt of the :class:`FleetSupervisor`. What differs between a
+plain and a ``supervise=True`` run is only the policy:
 
-* **Reschedule** — a worker that crashes (raises, is killed, or dies
-  without a result) or whose heartbeat goes silent beyond
-  ``stall_after`` seconds gets its shard re-run on a fresh worker,
-  with attempt provenance (``attempt`` / ``rescheduled_from`` /
-  ``failure_kind``) journaled. Pipelines derive their rngs from
-  ``(seed, global index)`` only, so a rescheduled shard produces rows
-  byte-identical to a first-try shard — the merged store of a
-  recovered run equals the fault-free run exactly.
-* **Hedge** — once at least half the shards have finished, a running
-  shard whose attempt has been live longer than ``hedge_after`` times
-  the median completed-attempt duration gets a speculative second copy.
-  First completion wins; the loser is terminated. Ties break toward
-  the lowest attempt number — and because both copies run the same
-  per-pipeline rng streams they are byte-identical, so the winner
-  choice *cannot* change the merged rows, only the wall clock.
-* **Quarantine** — a shard that fails ``max_attempts`` times is given
-  up on for this run: the merge skips it, the run completes as a
-  partial-but-valid store, and a structured :class:`DegradationReport`
-  (quarantined shards, lost pipelines, attempts histogram,
-  recovered-vs-lost compute) is persisted as ``degradation.json`` in
-  the journal and rendered by ``repro fleet-status``. A later
-  ``--resume`` re-arms quarantined shards with fresh attempts.
-* **Fault budget** — ``fault_budget`` caps total recovery attempts
-  (reschedules + hedges) across the run. A systemically broken run
-  (every worker dying) exhausts the budget after a handful of
-  attempts and fails fast with a diagnosis instead of thrashing
-  through ``shards × max_attempts`` doomed re-runs.
+* **Unsupervised** — one attempt per shard, no hedging, no fault
+  budget, stall detection still on. A shard that fails keeps a
+  ``failed`` journal entry and a
+  :class:`~repro.fleet.workers.ShardFailure`; nothing is quarantined
+  and no degradation report is written, so ``--resume`` and
+  ``fleet-status`` read the journal unchanged. A run without a caller
+  journal works in a scratch journal (a temporary directory holding
+  heartbeats and attempt dirs, never shard payloads) that is removed
+  when the run ends.
+* **Supervised** — production corpora at paper scale (7.7M
+  executions) cannot assume a fault-free multi-hour run, so the
+  supervisor closes the detect → act loop *inside* the run, with the
+  four mechanisms below.
 
-Supervised attempts run as dedicated ``multiprocessing.Process``
-workers (not a ``ProcessPoolExecutor``): a pool cannot terminate one
-hung member, which is precisely the recovery a supervisor exists to
-perform. Each attempt gets a private scratch directory under
-``<journal>/attempts/`` for its payload and heartbeat; the winning
-attempt's files are promoted into the canonical journal names so
-``--resume`` and ``fleet-status`` see exactly the layout an
-unsupervised run produces. When process spawn is unavailable (sandbox,
-``in_process=True``) the supervisor degrades to inline attempts:
-reschedule and quarantine semantics are identical, while stall
-detection and hedging — which require a concurrently observable
-worker — are naturally inert.
+**Reschedule** — a worker that crashes (raises, is killed, or dies
+without a result) or whose heartbeat goes silent beyond
+``stall_after`` seconds gets its shard re-run on a fresh worker, with
+attempt provenance (``attempt`` / ``rescheduled_from`` /
+``failure_kind``) journaled. Pipelines derive their rngs from
+``(seed, global index)`` only, so a rescheduled shard produces rows
+byte-identical to a first-try shard — the merged store of a recovered
+run equals the fault-free run exactly.
+
+**Hedge** — once at least half the shards have finished, a running
+shard whose attempt has been live longer than ``hedge_after`` times the
+median completed-attempt duration gets a speculative second copy.
+First completion wins; the loser is terminated. Ties break toward the
+lowest attempt number — and because both copies run the same
+per-pipeline rng streams they are byte-identical, so the winner choice
+*cannot* change the merged rows, only the wall clock.
+
+**Quarantine** — a shard that fails ``max_attempts`` times is given up
+on for this run: the merge skips it, the run completes as a
+partial-but-valid store, and a structured :class:`DegradationReport`
+(quarantined shards, lost pipelines, attempts histogram,
+recovered-vs-lost compute) is persisted as ``degradation.json`` in the
+journal and rendered by ``repro fleet-status``. A later ``--resume``
+re-arms quarantined shards with fresh attempts.
+
+**Fault budget** — ``fault_budget`` caps total recovery attempts
+(reschedules + hedges) across the run. A systemically broken run
+(every worker dying) exhausts the budget after a handful of attempts
+and fails fast with a diagnosis instead of thrashing through
+``shards × max_attempts`` doomed re-runs.
+
+Attempts run as dedicated ``multiprocessing.Process`` workers (not a
+pool): a pool cannot terminate one hung member, and a pool whose member
+dies cannot say which shard it took down. Each attempt gets a private
+directory under ``<journal>/attempts/`` for its payload and heartbeat;
+the winning attempt's files are promoted into the canonical journal
+names, which is the layout ``--resume`` and ``fleet-status`` read.
+
+An attempt runs inline (in the coordinator) when ``in_process=True``,
+when an unsupervised run has a single shard left, or when the host
+refuses to spawn a process. An inline attempt runs synchronously at
+launch and its outcome goes through the same transitions as a message
+from a worker, so reschedule and quarantine have one code path; stall
+detection and hedging need a concurrently observable worker and are
+inert for it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import shutil
 import statistics
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..corpus.config import CorpusConfig
-from ..faults.injector import WorkerCrashError, WorkerHangError
+from ..faults.injector import KILL_EXIT_CODE, WorkerCrashError, WorkerHangError
 from ..faults.journal import ShardJournal
-from ..faults.plan import FaultKind, FaultPlan
+from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
 from ..obs.fleetwatch import DEFAULT_STALL_AFTER, read_status_file
 from ..obs.logging import get_logger
-from ..obs.tracing import TraceContext
 
 __all__ = [
     "DegradationReport",
@@ -78,8 +95,9 @@ __all__ = [
 
 _log = get_logger("fleet.supervisor")
 
-#: Exit code of an injected kill-mode worker crash (see workers.py).
-_KILL_EXIT_CODE = 17
+#: Longest the scheduling loop waits for a worker before it re-checks
+#: heartbeats and stragglers.
+_POLL_INTERVAL = 0.05
 
 
 @dataclass(frozen=True)
@@ -97,7 +115,6 @@ class SupervisorPolicy:
     stall_after: float = DEFAULT_STALL_AFTER
     hedge_after: float | None = None
     fault_budget: int | None = None
-    poll_interval: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -167,13 +184,6 @@ class DegradationReport:
         """Whether the run is partial (any shard quarantined)."""
         return bool(self.quarantined)
 
-    @property
-    def recovered_shards(self) -> int:
-        """Shards that completed only thanks to supervision."""
-        return sum(count for attempts, count
-                   in self.attempts_histogram.items() if attempts > 1) \
-            - len(self.quarantined)
-
     def to_dict(self) -> dict:
         """JSON shape persisted as ``degradation.json``."""
         out = asdict(self)
@@ -239,35 +249,41 @@ def render_degradation(report: DegradationReport) -> str:
     return "\n".join(lines)
 
 
-def _attempt_main(conn, spec, config, telemetry, exec_cache, fault_plan,
-                  retry_policy, attempt_dir, armed, trace_ctx, profile,
-                  attempt) -> None:
-    """Worker-process entry point for one supervised attempt.
+def _attempt_outcome(spec, config, telemetry, exec_cache, fault_plan,
+                     retry_policy, attempt_dir, persist, armed, trace_ctx,
+                     profile, attempt) -> tuple:
+    """Run one attempt; return its outcome message.
 
-    Sends exactly one message on ``conn``: ``("done", shard, attempt,
-    ShardResult)`` or ``("failed", shard, attempt, kind, message)``.
+    The message is ``("done", ShardResult)`` or ``("failed", kind,
+    message)``. The attempt
+    heartbeats into ``attempt_dir``; it persists its payload there only
+    when ``persist`` (a scratch journal keeps none).
+    """
+    from .workers import _run_shard
+
+    try:
+        result = _run_shard(
+            spec, config, telemetry, exec_cache, fault_plan,
+            retry_policy, attempt_dir if persist else None, armed,
+            trace_ctx, profile, attempt, status_dir=attempt_dir)
+    except WorkerHangError as exc:
+        return ("failed", "worker_hang", str(exc))
+    except WorkerCrashError as exc:
+        return ("failed", "worker_crash", str(exc))
+    except Exception as exc:  # one attempt lost, never the supervisor
+        return ("failed", "error", f"{type(exc).__name__}: {exc}")
+    return ("done", result)
+
+
+def _attempt_main(conn, *args) -> None:
+    """Worker-process entry point: send the attempt's outcome on ``conn``.
+
     A kill-mode injected crash exits the process without sending; an
     injected hang sleeps forever without sending — the supervisor
     reads both from process state, not the pipe.
     """
-    from .workers import run_shard
-
     try:
-        result = run_shard(
-            spec, config, telemetry, exec_cache, fault_plan,
-            retry_policy, attempt_dir, armed, trace_ctx=trace_ctx,
-            serialize=True, profile=profile, attempt=attempt)
-    except WorkerHangError as exc:
-        _send(conn, ("failed", spec.shard_index, attempt,
-                     "worker_hang", str(exc)))
-    except WorkerCrashError as exc:
-        _send(conn, ("failed", spec.shard_index, attempt,
-                     "worker_crash", str(exc)))
-    except Exception as exc:  # one attempt lost, never the supervisor
-        _send(conn, ("failed", spec.shard_index, attempt, "error",
-                     f"{type(exc).__name__}: {exc}"))
-    else:
-        _send(conn, ("done", spec.shard_index, attempt, result))
+        _send(conn, _attempt_outcome(*args))
     finally:
         conn.close()
 
@@ -304,28 +320,30 @@ class _ShardState:
     attempts_used: int = 0
     live: list = field(default_factory=list)
     done: bool = False
-    quarantined: bool = False
     last_kind: str = ""
     last_message: str = ""
     last_failed_attempt: int = 0
-    winning_attempt: int = 0
 
 
 class FleetSupervisor:
-    """Coordinator-side supervision loop for one fleet run.
+    """Coordinator-side scheduling loop for one fleet run.
 
     Constructed by :func:`~repro.fleet.workers.generate_corpus_fleet`
-    when ``supervise=True``; :meth:`run` replaces the plain pool loop
-    for the shards that still need simulating.
+    for every run; :meth:`run` simulates the shards that still need
+    it. ``journal=None`` works in a scratch journal removed after the
+    run. ``quarantine=False`` is the unsupervised shape: a shard that
+    used up its attempts keeps its ``failed`` journal entry instead of
+    being quarantined.
     """
 
-    def __init__(self, config: CorpusConfig, journal: ShardJournal,
+    def __init__(self, config: CorpusConfig, journal: ShardJournal | None,
                  policy: SupervisorPolicy | None = None, *,
                  telemetry: bool = False, exec_cache: bool = False,
                  fault_plan: FaultPlan | None = None,
                  retry_policy: RetryPolicy | None = None,
                  trace_ctx_for=None, profile: bool = False,
-                 in_process: bool = False) -> None:
+                 in_process: bool = False,
+                 quarantine: bool = True) -> None:
         self.config = config
         self.journal = journal
         self.policy = policy or SupervisorPolicy()
@@ -336,8 +354,8 @@ class FleetSupervisor:
         self.trace_ctx_for = trace_ctx_for or (lambda spec, attempt: None)
         self.profile = profile
         self.in_process = in_process
+        self.quarantine = quarantine
         self.used_processes = False
-        self._inline = False
         self.results: dict[int, object] = {}
         self.failures: dict[int, object] = {}
         self._state: dict[int, _ShardState] = {}
@@ -357,9 +375,10 @@ class FleetSupervisor:
         shards into the report so its accounting partitions the whole
         plan, not just the re-run slice.
 
-        Returns ``(results, failures, report)`` — the same shapes the
-        unsupervised pool loop produces, plus the
-        :class:`DegradationReport`.
+        Returns ``(results, failures, report)``: the
+        :class:`~repro.fleet.workers.ShardResult` and
+        :class:`~repro.fleet.workers.ShardFailure` of each shard by
+        index, plus the :class:`DegradationReport`.
         """
         self._state = {spec.shard_index: _ShardState(spec=spec)
                        for spec in to_run}
@@ -371,86 +390,107 @@ class FleetSupervisor:
             else len(to_run),
             fault_budget=self.policy.fault_budget)
         self._report.merged_pipelines = pre_merged_pipelines
-        self._armed_first = dict(armed)
-        if not to_run:
-            return self.results, self.failures, self._finalize()
-        self.journal.record_event(
-            "supervision_started", shards=len(to_run),
-            max_attempts=self.policy.max_attempts,
-            stall_after=self.policy.stall_after,
-            hedge_after=self.policy.hedge_after,
-            fault_budget=self.policy.fault_budget)
-        if self.in_process:
-            self._run_inline(to_run)
-        else:
-            self._run_processes(to_run)
-        return self.results, self.failures, self._finalize()
+        self._persist = self.journal is not None
+        if self._persist:
+            return self._supervise(to_run, armed)
+        # Nothing can resume from a directory deleted at the end of the
+        # run, so a scratch journal holds heartbeats, events and attempt
+        # dirs but no shard payloads.
+        with tempfile.TemporaryDirectory(prefix="repro-fleet-") as scratch:
+            self.journal = ShardJournal(scratch, fingerprint="")
+            self.journal.open(to_run)
+            try:
+                return self._supervise(to_run, armed)
+            finally:
+                self.journal = None
 
-    @property
-    def report(self) -> DegradationReport | None:
-        """The degradation report (available after :meth:`run`)."""
-        return self._report
+    # --------------------------------------------------------- scheduling
 
-    # ------------------------------------------------------ process mode
-
-    def _run_processes(self, to_run) -> None:
-        launched_any = False
+    def _supervise(self, to_run, armed: dict[int, bool]):
+        if to_run:
+            self.journal.record_event(
+                "supervision_started", shards=len(to_run),
+                max_attempts=self.policy.max_attempts,
+                stall_after=self.policy.stall_after,
+                hedge_after=self.policy.hedge_after,
+                fault_budget=self.policy.fault_budget)
         try:
             for spec in to_run:
                 self._launch(spec, attempt=1,
-                             armed=self._armed_first.get(
-                                 spec.shard_index, True))
-                launched_any = True
-        except OSError as exc:
-            # The sandbox denied processes. Terminate anything that did
-            # start, then degrade every unresolved shard to inline.
-            _log.warning("supervisor_pool_unavailable",
-                         reason=type(exc).__name__, fallback="inline")
+                             armed=armed.get(spec.shard_index, True))
+            while any(state.live for state in self._state.values()):
+                progressed = self._poll()
+                now = time.time()
+                self._check_stalls(now)
+                self._maybe_hedge(now)
+                if not progressed:
+                    # Wake on the first message or process exit.
+                    multiprocessing.connection.wait(
+                        [handle for state in self._state.values()
+                         for attempt in state.live
+                         for handle in (attempt.conn,
+                                        attempt.process.sentinel)],
+                        timeout=_POLL_INTERVAL)
+        finally:
+            # Only an exception leaves attempts live; none may outlive
+            # the run.
             for state in self._state.values():
                 for attempt in state.live:
                     self._reap(attempt, terminate=True)
                 state.live.clear()
             self._cleanup_attempt_dirs()
-            self._run_inline([s.spec for s in self._state.values()
-                              if not s.done and not s.quarantined])
-            return
-        if launched_any:
-            self.used_processes = True
-        while any(state.live for state in self._state.values()):
-            progressed = self._poll()
-            now = time.time()
-            self._check_stalls(now)
-            self._maybe_hedge(now)
-            if not progressed:
-                time.sleep(self.policy.poll_interval)
-        self._cleanup_attempt_dirs()
+        return self.results, self.failures, self._finalize()
 
     def _launch(self, spec, attempt: int, armed: bool,
                 hedge: bool = False) -> None:
+        """Start one attempt: a worker process, or inline to completion.
+
+        An inline attempt's outcome is handled here, exactly like a
+        message received from a worker.
+        """
         attempt_dir = (self.journal.directory / "attempts"
                        / f"shard-{spec.shard_index:04d}-a{attempt}")
         attempt_dir.mkdir(parents=True, exist_ok=True)
-        recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
-        process = multiprocessing.Process(
-            target=_attempt_main,
-            args=(send_conn, spec, self.config, self.telemetry,
-                  self.exec_cache, self.fault_plan, self.retry_policy,
-                  str(attempt_dir), armed,
-                  self.trace_ctx_for(spec, attempt), self.profile,
-                  attempt),
-            daemon=True)
-        try:
-            process.start()
-        finally:
-            send_conn.close()  # Parent keeps only the read end.
+        args = (spec, self.config, self.telemetry, self.exec_cache,
+                self.fault_plan, self.retry_policy, str(attempt_dir),
+                self._persist, armed, self.trace_ctx_for(spec, attempt),
+                self.profile, attempt)
+        process = recv_conn = None
+        if not self.in_process:
+            try:
+                process, recv_conn = self._spawn(args)
+            except OSError as exc:
+                # The host refuses new processes: this and every later
+                # attempt runs inline.
+                _log.warning("fleet_spawn_unavailable",
+                             reason=type(exc).__name__, fallback="inline")
+                self.in_process = True
         state = self._state[spec.shard_index]
         state.attempts_used = max(state.attempts_used, attempt)
-        state.live.append(_Attempt(
-            spec=spec, attempt=attempt, process=process, conn=recv_conn,
-            directory=attempt_dir, started=time.time(), hedge=hedge))
+        record = _Attempt(spec=spec, attempt=attempt, process=process,
+                          conn=recv_conn, directory=attempt_dir,
+                          started=time.time(), hedge=hedge)
+        state.live.append(record)
         self.journal.record_event(
             "attempt_started", shard=spec.shard_index, attempt=attempt,
-            hedge=hedge, armed=armed, pid=process.pid)
+            hedge=hedge, armed=armed,
+            pid=process.pid if process is not None else os.getpid())
+        if process is None:
+            self._handle_message(state, record, _attempt_outcome(*args))
+
+    def _spawn(self, args):
+        recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
+        process = multiprocessing.Process(
+            target=_attempt_main, args=(send_conn, *args), daemon=True)
+        try:
+            process.start()
+        except OSError:
+            recv_conn.close()
+            raise
+        finally:
+            send_conn.close()  # Parent keeps only the read end.
+        self.used_processes = True
+        return process, recv_conn
 
     def _poll(self) -> bool:
         """Drain attempt outcomes; returns whether anything resolved.
@@ -483,27 +523,22 @@ class FleetSupervisor:
 
     def _handle_message(self, state: _ShardState, attempt: _Attempt,
                         message) -> None:
-        kind = message[0]
-        if kind == "done":
-            result = message[3]
-            self._reap(attempt)
-            state.live.remove(attempt)
-            self._complete(state, attempt, result)
+        self._reap(attempt)
+        state.live.remove(attempt)
+        if message[0] == "done":
+            self._complete(state, attempt, message[1])
         else:
-            _, _, _, failure_kind, failure_message = message
-            self._reap(attempt)
-            state.live.remove(attempt)
-            self._attempt_failed(state, attempt, failure_kind,
-                                 failure_message,
-                                 crashed=failure_kind in (
-                                     "worker_crash", "worker_hang"))
+            _, kind, text = message
+            self._attempt_failed(
+                state, attempt, kind, text,
+                crashed=kind in ("worker_crash", "worker_hang"))
 
     def _handle_dead(self, state: _ShardState, attempt: _Attempt) -> None:
         """A process died without delivering a result (kill / OOM)."""
         exitcode = attempt.process.exitcode
         self._reap(attempt)
         state.live.remove(attempt)
-        detail = "injected kill" if exitcode == _KILL_EXIT_CODE \
+        detail = "injected kill" if exitcode == KILL_EXIT_CODE \
             else f"exitcode {exitcode}"
         self._attempt_failed(
             state, attempt, "worker_killed",
@@ -547,7 +582,7 @@ class FleetSupervisor:
             return
         threshold = self.policy.hedge_after * statistics.median(durations)
         for state in self._state.values():
-            if state.done or state.quarantined or len(state.live) != 1:
+            if state.done or len(state.live) != 1:
                 continue
             attempt = state.live[0]
             if now - attempt.started <= threshold:
@@ -568,66 +603,10 @@ class FleetSupervisor:
             self._launch(state.spec, attempt=hedge_attempt,
                          armed=False, hedge=True)
 
-    # ------------------------------------------------------- inline mode
-
-    def _run_inline(self, to_run) -> None:
-        """Sequential fallback: same reschedule/quarantine semantics.
-
-        Stall detection and hedging need a concurrently observable
-        worker, so they are inert here — an injected hang degrades to
-        :class:`WorkerHangError` inside ``run_shard`` (inline shards
-        must never hang the driver) and lands in the same
-        ``worker_hang`` reschedule path. The while loop *is* the
-        rescheduler: ``_attempt_failed`` only decides reschedule vs
-        quarantine, and a shard left neither done nor quarantined is
-        re-attempted.
-        """
-        from .workers import run_shard
-
-        self._inline = True
-        for spec in to_run:
-            state = self._state[spec.shard_index]
-            armed = self._armed_first.get(spec.shard_index, True)
-            while not state.done and not state.quarantined:
-                attempt = state.attempts_used + 1
-                state.attempts_used = attempt
-                self.journal.record_event(
-                    "attempt_started", shard=spec.shard_index,
-                    attempt=attempt, hedge=False, armed=armed,
-                    pid=os.getpid())
-                started = time.time()
-                shim = _Attempt(spec=spec, attempt=attempt,
-                                process=None, conn=None,
-                                directory=self.journal.directory,
-                                started=started)
-                try:
-                    result = run_shard(
-                        spec, self.config, self.telemetry,
-                        self.exec_cache, self.fault_plan,
-                        self.retry_policy, self.journal.directory,
-                        armed,
-                        trace_ctx=self.trace_ctx_for(spec, attempt),
-                        profile=self.profile, attempt=attempt)
-                except WorkerHangError as exc:
-                    self._attempt_failed(state, shim, "worker_hang",
-                                         str(exc), crashed=True)
-                except WorkerCrashError as exc:
-                    self._attempt_failed(state, shim, "worker_crash",
-                                         str(exc), crashed=True)
-                except Exception as exc:
-                    self._attempt_failed(
-                        state, shim, "error",
-                        f"{type(exc).__name__}: {exc}")
-                else:
-                    self._complete(state, shim, result, promote=False)
-                # A rescheduled attempt runs disarmed unless the fault
-                # plan says the shard is broken every time.
-                armed = self._repeat_fault(spec.shard_index)
-
     # ------------------------------------------------------- transitions
 
     def _complete(self, state: _ShardState, attempt: _Attempt,
-                  result, promote: bool = True) -> None:
+                  result) -> None:
         if state.done:
             # A sibling (hedge) already won; this copy's work is moot.
             self._report.lost_cpu_seconds += result.elapsed_seconds
@@ -636,12 +615,14 @@ class FleetSupervisor:
                 attempt=attempt.attempt, outcome="finished_second")
             return
         state.done = True
-        state.winning_attempt = attempt.attempt
-        result.transfer_seconds = max(
-            0.0, time.time() - result.finished_unix)
+        if attempt.process is not None:
+            # Receipt minus the worker's return stamp: time the shard
+            # spent crossing the process boundary. An inline shard is
+            # handed over in-process and keeps 0.
+            result.transfer_seconds = max(
+                0.0, time.time() - result.finished_unix)
         self.results[attempt.shard_index] = result
-        if promote:
-            self._promote(attempt)
+        self._promote(attempt)
         rescheduled_from = state.last_failed_attempt \
             if attempt.attempt > 1 else 0
         self.journal.record_done(attempt.shard_index,
@@ -687,7 +668,7 @@ class FleetSupervisor:
         self.journal.record_event(
             "attempt_failed", shard=attempt.shard_index,
             attempt=attempt.attempt, failure_kind=kind, message=message)
-        _log.warning("supervised_attempt_failed",
+        _log.warning("fleet_attempt_failed",
                      shard=attempt.shard_index, attempt=attempt.attempt,
                      kind=kind, reason=message)
         if state.live:
@@ -710,10 +691,6 @@ class FleetSupervisor:
             attempt=next_attempt,
             rescheduled_from=state.last_failed_attempt,
             failure_kind=state.last_kind)
-        if self._inline:
-            # The inline while-loop re-attempts any shard left neither
-            # done nor quarantined; launching here would double-run it.
-            return
         # The injected worker fault fired once already; only a
         # ``repeat`` spec (systemically broken shard) re-arms it.
         self._launch(state.spec, attempt=next_attempt,
@@ -722,8 +699,14 @@ class FleetSupervisor:
     def _quarantine(self, state: _ShardState, reason: str) -> None:
         from .workers import ShardFailure
 
-        state.quarantined = True
         spec = state.spec
+        if not self.quarantine:
+            # Unsupervised: the failed journal entry already written is
+            # the shard's final record for this run.
+            self.failures[spec.shard_index] = ShardFailure(
+                spec.shard_index, spec.start, spec.stop, state.last_kind,
+                state.last_message)
+            return
         if reason == "fault_budget":
             self._report.budget_exhausted = True
         self.journal.record_quarantine(
@@ -779,9 +762,8 @@ class FleetSupervisor:
     def _promote(self, attempt: _Attempt) -> None:
         """Move the winning attempt's files to canonical journal names.
 
-        After promotion the journal looks exactly like an unsupervised
-        run wrote it — ``--resume`` and ``fleet-status`` need no
-        supervision awareness to read it.
+        ``--resume`` and ``fleet-status`` read the canonical names and
+        need no attempt awareness.
         """
         stem = f"shard-{attempt.shard_index:04d}"
         for suffix in (".db", ".pkl", ".spans.jsonl", ".folded",

@@ -35,13 +35,18 @@ Worker discipline:
   ``fleet.run`` span — one causally ordered cross-process timeline.
 * Workers return a :class:`~repro.fleet.merge.StoreSnapshot`, not a
   ``MetadataStore`` — the store object is not picklable (its bound
-  instruments hold locks). On the process-pool path the worker pickles
-  the snapshot itself (``serialize=True``) so serialize time and byte
-  size are measured where they happen; inline shards skip the
-  round-trip entirely.
+  instruments hold locks). A shard running in a worker process pickles
+  the snapshot itself, so serialize time and byte size are measured
+  where they happen; inline shards skip the round-trip entirely.
 
-Crash safety (:mod:`repro.faults`): a worker that raises — or is
-killed outright — loses only its own shard. The driver records a
+Scheduling: every shard runs as an attempt of the
+:class:`~repro.fleet.supervisor.FleetSupervisor`, the fleet's one
+scheduler. An unsupervised run is the supervisor with one attempt per
+shard, no hedging and stall detection still on, so a hung worker ends
+as a ``worker_hang`` failure instead of blocking the run.
+
+Crash safety (:mod:`repro.faults`): a worker that raises, hangs, or is
+killed outright loses only its own shard. The driver records a
 :class:`ShardFailure` per lost shard, merges every completed shard
 into a partial-but-valid store, and (when a journal directory is
 given) persists each finished shard's payload so a later
@@ -51,7 +56,6 @@ and converges on the exact store a fault-free run produces.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import json
 import multiprocessing
@@ -69,7 +73,8 @@ from ..corpus.config import CorpusConfig
 from ..corpus.generator import (Corpus, PipelineRecord, ProgressCallback,
                                 print_progress_every, sample_pipeline_plan,
                                 _simulate_pipeline)
-from ..faults.injector import WorkerCrashError, WorkerHangError
+from ..faults.injector import (KILL_EXIT_CODE, WorkerCrashError,
+                               WorkerHangError)
 from ..faults.journal import (ShardJournal, config_fingerprint, folded_path,
                               spans_path, write_shard_payload)
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -82,6 +87,7 @@ from ..obs.tracing import TraceContext, Tracer, get_tracer, set_tracer, span
 from .cache import ExecutionCache
 from .merge import (StoreSnapshot, merge_snapshot, snapshot_row_count,
                     snapshot_store)
+from .supervisor import FleetSupervisor, SupervisorPolicy
 
 __all__ = [
     "FleetReport",
@@ -151,8 +157,8 @@ class ShardResult:
 
     The shard's rows travel either as a live :class:`StoreSnapshot`
     (``snapshot_direct``, inline/resume paths) or as a pickle blob the
-    worker serialized itself (``snapshot_blob``, process-pool path —
-    measured as the ``serialize`` phase). :attr:`snapshot` presents one
+    worker process serialized itself (``snapshot_blob``, measured as
+    the ``serialize`` phase). :attr:`snapshot` presents one
     view over both.
     """
 
@@ -189,7 +195,7 @@ class ShardFailure:
     shard_index: int
     start: int
     stop: int
-    kind: str  # worker_crash | worker_killed | error
+    kind: str  # worker_crash | worker_hang | worker_killed | error
     message: str
 
     @property
@@ -221,7 +227,7 @@ def _maybe_worker_fault(fault: FaultSpec | None, spec: ShardSpec,
             f"injected worker hang in shard {spec.shard_index} after "
             f"{completed} pipeline(s)")
     if fault.mode == "kill" and in_worker:
-        os._exit(17)
+        os._exit(KILL_EXIT_CODE)
     raise WorkerCrashError(
         spec.shard_index,
         f"injected worker crash in shard {spec.shard_index} after "
@@ -236,14 +242,14 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
               journal_dir: str | Path | None = None,
               allow_crash: bool = True,
               trace_ctx: TraceContext | None = None,
-              serialize: bool = False,
               profile: bool = False,
               attempt: int = 1) -> ShardResult:
     """Simulate one shard into a private store (worker entry point).
 
-    Runs in a worker process (or inline for workers=1): installs a
-    fresh registry, simulates pipelines ``[spec.start, spec.stop)``
-    each on its derived rng, and returns a picklable snapshot.
+    Runs in a worker process (or inline): installs a fresh registry,
+    simulates pipelines ``[spec.start, spec.stop)`` each on its
+    derived rng, and returns a picklable snapshot — pickled here, under
+    measurement, exactly when running in a worker process.
 
     With a ``fault_plan``, each pipeline gets its plan-derived fault
     injector (seeded by global index — shard-invariant), and a
@@ -255,9 +261,7 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
     payload, only the driver-side failure entry — and the shard
     heartbeats progress into ``shard-NNNN.status.json`` for
     ``repro fleet-status``. With a ``trace_ctx``, a fresh worker
-    tracer records the shard's spans for driver-side adoption; with
-    ``serialize=True`` (the process-pool path) the snapshot is pickled
-    here, under measurement, instead of implicitly by the pool. With
+    tracer records the shard's spans for driver-side adoption. With
     ``profile=True``, a :class:`~repro.obs.profiling.StackSampler`
     samples this thread for the shard's whole lifetime; the folded
     stacks ship home in :attr:`ShardResult.profile` (and land in the
@@ -270,15 +274,30 @@ def run_shard(spec: ShardSpec, config: CorpusConfig,
     same per-pipeline rngs, which is what makes reschedules and hedge
     copies byte-identical.
     """
+    return _run_shard(spec, config, telemetry, exec_cache, fault_plan,
+                      retry_policy, journal_dir, allow_crash, trace_ctx,
+                      profile, attempt, status_dir=journal_dir)
+
+
+def _run_shard(spec: ShardSpec, config: CorpusConfig, telemetry: bool,
+               exec_cache: bool, fault_plan: FaultPlan | None,
+               retry_policy: RetryPolicy | None,
+               journal_dir: str | Path | None, allow_crash: bool,
+               trace_ctx: TraceContext | None, profile: bool,
+               attempt: int, status_dir: str | Path | None) -> ShardResult:
+    """:func:`run_shard` with the heartbeat directory split from the
+    journal: a scratch-journal attempt heartbeats into ``status_dir``
+    for stall detection but persists nothing (``journal_dir=None``)."""
     started = perf_counter()
+    serialize = multiprocessing.parent_process() is not None
     worker_fault = None
     if fault_plan is not None and allow_crash:
         worker_fault = fault_plan.worker_fault(spec.shard_index)
     worker_name = f"shard-{spec.shard_index:04d}" \
         + (f"#a{attempt}" if attempt > 1 else "")
     heartbeat = None
-    if journal_dir is not None:
-        heartbeat = ShardHeartbeat(journal_dir, spec.shard_index,
+    if status_dir is not None:
+        heartbeat = ShardHeartbeat(status_dir, spec.shard_index,
                                    spec.n_pipelines, worker=worker_name)
     sampler = None
     if profile:
@@ -553,10 +572,19 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
     carries a content-addressed :class:`ExecutionCache` and redundant
     re-executions are replayed as ``CACHED`` executions.
 
+    Every shard runs under the
+    :class:`~repro.fleet.supervisor.FleetSupervisor`. Without
+    ``supervise`` that is one attempt per shard with stall detection
+    on: a crashed, killed or hung worker loses its own shard, which is
+    journaled ``failed`` for ``resume``. A shard runs inline when
+    ``in_process=True`` or when an unsupervised run has one shard left
+    to simulate (``workers=1`` included), otherwise in its own worker
+    process.
+
     Args:
         config: Corpus configuration (default ``CorpusConfig()``).
         workers: Shard count; ``> 1`` simulates shards in worker
-            processes (falling back to in-process on pool failure).
+            processes (inline when the host cannot spawn one).
         exec_cache: Enable the content-addressed execution cache.
         telemetry: Persist provenance telemetry rows, as in
             :func:`repro.corpus.generate_corpus`.
@@ -572,6 +600,8 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
             every runner (each attempt its own execution).
         journal_dir: Directory for the per-shard journal; enables
             crash-safe resume (see :mod:`repro.faults.journal`).
+            Without one the run works in a scratch journal removed
+            when it ends, and no shard payload is written.
         resume: Reuse completed shards from ``journal_dir`` and
             re-simulate only failed/missing ones. Requires a journal
             written by a run with the identical config and plan.
@@ -580,16 +610,16 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
             ``report.profile_folded`` (and journaled per shard). A
             resumed shard contributes its journaled profile, if any —
             the flag is not part of the journal fingerprint.
-        supervise: Run shards under the in-run
-            :class:`~repro.fleet.supervisor.FleetSupervisor` —
+        supervise: Give the supervisor its recovery policy —
             crashed / hung / straggling workers are rescheduled,
             hedged, or quarantined *during* the run instead of
-            aborting it. Requires a ``journal_dir``.
+            losing their shard. Requires a ``journal_dir``.
         max_attempts: Supervised attempts per shard before it is
             quarantined for this run.
-        stall_after: Seconds without a heartbeat before a supervised
-            worker counts as hung (also recorded in the journal
-            manifest so ``fleet-status`` uses the same threshold).
+        stall_after: Seconds without a heartbeat before a worker
+            counts as hung, supervised or not (also recorded in the
+            journal manifest so ``fleet-status`` uses the same
+            threshold).
             ``None`` uses :data:`~repro.obs.fleetwatch.DEFAULT_STALL_AFTER`.
         hedge_after: Straggler factor: hedge a running shard once its
             attempt is older than ``hedge_after`` × the median
@@ -675,7 +705,6 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                 or journal.entry(spec.shard_index).crashes == 0
             for spec in to_run
         }
-        payload_dir = journal.directory if journal is not None else None
 
         def trace_ctx_for(spec: ShardSpec,
                           attempt: int = 1) -> TraceContext | None:
@@ -687,134 +716,36 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
                                 root_span_id=run_span.span_id,
                                 worker=worker)
 
-        def record_done(spec: ShardSpec, result: ShardResult) -> None:
-            results[spec.shard_index] = result
-            if journal is not None:
-                journal.record_done(spec.shard_index)
-
-        def record_failure(spec: ShardSpec, kind: str, message: str,
-                           crashed: bool = False) -> None:
-            failures[spec.shard_index] = ShardFailure(
-                spec.shard_index, spec.start, spec.stop, kind, message)
-            if journal is not None:
-                journal.record_failure(spec.shard_index, kind, message,
-                                       crashed=crashed)
-            _log.warning("fleet_shard_failed", shard=spec.shard_index,
-                         kind=kind, reason=message)
-
-        def run_inline(spec: ShardSpec) -> None:
-            try:
-                record_done(spec, run_shard(
-                    spec, config, telemetry, exec_cache, fault_plan,
-                    retry_policy, payload_dir,
-                    allow_crash[spec.shard_index],
-                    trace_ctx=trace_ctx_for(spec), profile=profile))
-            except WorkerCrashError as exc:
-                record_failure(spec, "worker_crash", str(exc),
-                               crashed=True)
-            except Exception as exc:  # A worker bug loses one shard only.
-                record_failure(spec, "error",
-                               f"{type(exc).__name__}: {exc}")
-
         used_processes = False
         degradation = None
         with _timed_phase(phases, "simulate", shards=len(to_run)):
-            if to_run and supervise:
-                from .supervisor import FleetSupervisor, SupervisorPolicy
-
+            if to_run:
+                # Unsupervised is a policy: one attempt, no hedging, no
+                # budget, and a failure stays a plain journal failure.
                 supervisor = FleetSupervisor(
                     config, journal,
                     SupervisorPolicy(
-                        max_attempts=max_attempts,
+                        max_attempts=max_attempts if supervise else 1,
                         stall_after=stall_after
                         if stall_after is not None else DEFAULT_STALL_AFTER,
-                        hedge_after=hedge_after,
-                        fault_budget=fault_budget),
+                        hedge_after=hedge_after if supervise else None,
+                        fault_budget=fault_budget if supervise else None),
                     telemetry=telemetry, exec_cache=exec_cache,
                     fault_plan=fault_plan, retry_policy=retry_policy,
                     trace_ctx_for=trace_ctx_for, profile=profile,
-                    in_process=in_process)
-                sup_results, sup_failures, degradation = supervisor.run(
+                    in_process=in_process
+                    or (not supervise and len(to_run) == 1),
+                    quarantine=supervise)
+                sup_results, failures, sup_report = supervisor.run(
                     to_run, allow_crash,
                     planned_pipelines=config.n_pipelines,
                     planned_shards=len(shards),
                     pre_merged_pipelines=sum(
                         r.spec.n_pipelines for r in results.values()))
                 results.update(sup_results)
-                failures.update(sup_failures)
                 used_processes = supervisor.used_processes
-            elif to_run and (len(shards) == 1 or in_process
-                             or len(to_run) == 1):
-                for spec in to_run:
-                    run_inline(spec)
-            elif to_run:
-                pool_casualties: list[ShardSpec] = []
-                try:
-                    with concurrent.futures.ProcessPoolExecutor(
-                            max_workers=len(to_run)) as pool:
-                        futures = {
-                            pool.submit(
-                                run_shard, spec, config, telemetry,
-                                exec_cache, fault_plan, retry_policy,
-                                payload_dir,
-                                allow_crash[spec.shard_index],
-                                trace_ctx=trace_ctx_for(spec),
-                                serialize=True, profile=profile): spec
-                            for spec in to_run
-                        }
-                        for future in concurrent.futures.as_completed(
-                                futures):
-                            spec = futures[future]
-                            try:
-                                result = future.result()
-                                # Receipt time minus the worker's return
-                                # stamp ≈ time the shard spent queued +
-                                # crossing the process boundary.
-                                result.transfer_seconds = max(
-                                    0.0,
-                                    time.time() - result.finished_unix)
-                                record_done(spec, result)
-                                used_processes = True
-                            except WorkerCrashError as exc:
-                                record_failure(spec, "worker_crash",
-                                               str(exc), crashed=True)
-                                used_processes = True
-                            except (concurrent.futures.process
-                                    .BrokenProcessPool):
-                                pool_casualties.append(spec)
-                            except Exception as exc:
-                                record_failure(
-                                    spec, "error",
-                                    f"{type(exc).__name__}: {exc}")
-                                used_processes = True
-                except (OSError, pickle.PicklingError,
-                        concurrent.futures.process
-                        .BrokenProcessPool) as exc:
-                    _log.warning("fleet_pool_unavailable",
-                                 reason=type(exc).__name__,
-                                 fallback="in_process")
-                    pool_casualties = [
-                        spec for spec in to_run
-                        if spec.shard_index not in results
-                        and spec.shard_index not in failures]
-                # A broken pool can't say which worker died. A shard
-                # whose plan called for a kill-mode crash is the culprit
-                # — record it as crashed; the rest are innocent victims
-                # of the shared pool (or the sandbox denied processes
-                # entirely) and re-run inline.
-                for spec in pool_casualties:
-                    crash = (fault_plan.worker_crash(spec.shard_index)
-                             if fault_plan is not None else None)
-                    if crash is not None and crash.mode == "kill" \
-                            and allow_crash[spec.shard_index]:
-                        used_processes = True
-                        record_failure(
-                            spec, "worker_killed",
-                            f"worker for shard {spec.shard_index} "
-                            f"killed after {crash.after_pipelines} "
-                            "pipeline(s)", crashed=True)
-                    else:
-                        run_inline(spec)
+                if supervise:
+                    degradation = sup_report
 
         store = MetadataStore()
         if telemetry:

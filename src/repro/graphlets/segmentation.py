@@ -40,8 +40,9 @@ if TYPE_CHECKING:
     from ..query import MetadataClient
 
 
-def _ancestor_executions(store: MetadataStore, trainer_id: int) -> set[int]:
+def _ancestor_executions(store: MetadataClient, trainer_id: int) -> set[int]:
     """Rule (a) executions: ancestors, cutting at other Trainers."""
+    trainers = store.indexes.executions_by_type.get("Trainer", {})
     seen: set[int] = set()
     frontier = deque([trainer_id])
     while frontier:
@@ -50,16 +51,18 @@ def _ancestor_executions(store: MetadataStore, trainer_id: int) -> set[int]:
             for producer in store.get_producer_execution_ids(artifact_id):
                 if producer in seen or producer == trainer_id:
                     continue
-                if store.get_execution(producer).type_name == "Trainer":
+                if producer in trainers:
                     continue  # Warm-start / chaining cut.
                 seen.add(producer)
                 frontier.append(producer)
     return seen
 
 
-def _descendant_executions(store: MetadataStore, trainer_id: int
+def _descendant_executions(store: MetadataClient, trainer_id: int
                            ) -> set[int]:
     """Rule (c) executions: descendants, stopping at sc nodes."""
+    by_type = store.indexes.executions_by_type
+    stops = [by_type.get(t, {}) for t in STOP_TYPES]
     seen: set[int] = set()
     frontier = deque([trainer_id])
     while frontier:
@@ -68,7 +71,7 @@ def _descendant_executions(store: MetadataStore, trainer_id: int
             for consumer in store.get_consumer_execution_ids(artifact_id):
                 if consumer in seen or consumer == trainer_id:
                     continue
-                if store.get_execution(consumer).type_name in STOP_TYPES:
+                if any(consumer in ids for ids in stops):
                     continue
                 seen.add(consumer)
                 frontier.append(consumer)

@@ -225,7 +225,7 @@ def collect_fleet_status(journal_dir: str | Path,
     itself declared in the manifest's ``meta`` — so ``fleet-status``
     and the run's own supervisor agree on what counts as stalled —
     falling back to :data:`DEFAULT_STALL_AFTER` for older journals.
-    A supervised run's live heartbeats are found under
+    A running shard's live heartbeats are found under
     ``attempts/shard-NNNN-aK/`` (the freshest attempt wins); promoted
     winners land on the canonical path, which takes precedence.
     """
@@ -321,9 +321,9 @@ def collect_fleet_status(journal_dir: str | Path,
 def _freshest_beat(journal_dir: Path, shard_index: int) -> dict | None:
     """The shard's most recent heartbeat, canonical or per-attempt.
 
-    A supervised run heartbeats into private attempt directories until
-    the winning attempt is promoted; an unsupervised run writes the
-    canonical path directly. The canonical file wins when present
+    Every attempt heartbeats into its private attempt directory until
+    the winning attempt is promoted (journals of older runs may hold
+    the canonical path only). The canonical file wins when present
     (it is the promoted, final state); otherwise the freshest attempt
     beat represents the shard.
     """

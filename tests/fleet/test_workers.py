@@ -1,9 +1,14 @@
 """Fleet generation tests: shard planning, determinism, aggregation."""
 
+import json
+import os
+import tempfile
+
 import pytest
 
+import repro.fleet.workers as workers
 from repro.corpus import CorpusConfig
-from repro.faults import FaultPlan, journal_dir_for
+from repro.faults import FaultPlan, ShardJournal, journal_dir_for
 from repro.fleet import (
     generate_corpus_fleet,
     pipeline_rng,
@@ -203,6 +208,58 @@ class TestShardFailureDegradation:
                               fault_plan=plan, journal_dir=journal_dir,
                               resume=True)
         assert counter.value == before + 6  # 4 journaled + 2 re-run
+
+    def test_inline_hang_is_labelled_worker_hang(self):
+        # An inline shard cannot hang the driver: the injected hang
+        # raises, and the failure keeps its own kind.
+        plan = FaultPlan.parse("worker_hang:2:1")
+        _, report = generate_corpus_fleet(
+            _tiny_config(), workers=3, in_process=True, fault_plan=plan)
+        (failure,) = report.failed_shards
+        assert failure.shard_index == 2
+        assert failure.kind == "worker_hang"
+        assert "injected worker hang in shard 2" in failure.message
+        assert report.degradation is None
+
+    def test_killed_worker_loses_only_its_shard(self, tmp_path):
+        # Each shard is its own process: a killed worker takes down
+        # its shard, and no survivor is re-run in the coordinator.
+        plan = FaultPlan.parse("worker_crash:1:1:kill")
+        journal_dir = journal_dir_for(tmp_path / "corpus.db")
+        corpus, report = generate_corpus_fleet(
+            _tiny_config(), workers=3, fault_plan=plan,
+            journal_dir=journal_dir)
+        assert [(f.shard_index, f.kind) for f in report.failed_shards] \
+            == [(1, "worker_killed")]
+        assert report.used_processes
+        assert report.degradation is None
+        assert len(corpus.records) == 4
+        started = [e for e in ShardJournal(journal_dir, "").load_events()
+                   if e["event"] == "attempt_started"]
+        assert sorted(e["shard"] for e in started) == [0, 1, 2]
+        assert os.getpid() not in {e["pid"] for e in started}
+        entry = json.loads((journal_dir / "shard-0001.json").read_text())
+        assert (entry["status"], entry["crashes"]) == ("failed", 1)
+        assert not (journal_dir / "degradation.json").exists()
+
+
+class TestScratchJournal:
+    """Without a journal_dir the run leaves nothing behind."""
+
+    @pytest.mark.parametrize("in_process", [True, False])
+    def test_no_payload_and_nothing_left_on_disk(self, tmp_path,
+                                                 monkeypatch, in_process):
+        def refuse(*args, **kwargs):
+            raise AssertionError("shard payload written without a journal")
+
+        monkeypatch.setattr(workers, "write_shard_payload", refuse)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        corpus, report = generate_corpus_fleet(
+            _tiny_config(), workers=2, in_process=in_process)
+        assert report.complete
+        assert len(corpus.records) == 6
+        assert report.journal_dir == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExecCache:

@@ -1,9 +1,14 @@
 """CLI tests (generate → report / waste / summarize / telemetry)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -611,3 +616,42 @@ class TestChaosEndToEnd:
         out = capsys.readouterr().out
         assert "Failures" in out
         assert "transient" in out
+
+
+class TestUnsupervisedHang:
+    """A hung worker in a plain multi-process run is ended by stall
+    detection: the run exits 3 instead of blocking, and ``--resume``
+    converges on the ``--workers 1`` control."""
+
+    HANG_ARGS = ["--pipelines", "6", "--seed", "11", "--max-graphlets", "8",
+                 "--no-telemetry", "--fault-plan", "worker_hang:2:1",
+                 "--fault-seed", "3", "--stall-after", "2"]
+
+    @staticmethod
+    def _generate(*argv):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "generate", *argv],
+            capture_output=True, text=True, env=env, timeout=180)
+
+    def test_hang_ends_and_resume_converges(self, tmp_path):
+        hung = tmp_path / "hung.db"
+        run = self._generate(*self.HANG_ARGS, "--workers", "3",
+                             "--out", str(hung))
+        assert run.returncode == 3, run.stdout + run.stderr
+        (failure,) = [line.strip() for line in run.stdout.splitlines()
+                      if line.strip().startswith("shard 2 ")]
+        assert "worker_hang" in failure
+
+        resumed = self._generate(*self.HANG_ARGS, "--workers", "3",
+                                 "--resume", "--out", str(hung))
+        assert resumed.returncode == 0, resumed.stdout + resumed.stderr
+        assert "resumed" in resumed.stdout
+
+        control = tmp_path / "control.db"
+        assert self._generate(*self.HANG_ARGS, "--workers", "1",
+                              "--out", str(control)).returncode == 0
+        assert _dump(hung) == _dump(control)
