@@ -915,10 +915,10 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="SECONDS",
                           help="heartbeat silence before a worker "
                                "counts as hung: a supervised run "
-                               "reschedules it, a plain run records "
-                               "the shard failed (default 30; also "
-                               "recorded in the journal for "
-                               "fleet-status)")
+                               "reschedules it (default 30), a plain "
+                               "run records the shard failed (default: "
+                               "no deadline); also recorded in the "
+                               "journal for fleet-status")
     generate.add_argument("--hedge-after", type=float, default=None,
                           metavar="FACTOR",
                           help="hedge a straggling shard once its "

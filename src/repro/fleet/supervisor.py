@@ -5,8 +5,9 @@ as an attempt of the :class:`FleetSupervisor`. What differs between a
 plain and a ``supervise=True`` run is only the policy:
 
 * **Unsupervised** — one attempt per shard, no hedging, no fault
-  budget, stall detection still on. A shard that fails keeps a
-  ``failed`` journal entry and a
+  budget, and a stall deadline only when the caller sets
+  ``stall_after``. A shard that fails keeps a ``failed`` journal
+  entry, its last heartbeat and a
   :class:`~repro.fleet.workers.ShardFailure`; nothing is quarantined
   and no degradation report is written, so ``--resume`` and
   ``fleet-status`` read the journal unchanged. A run without a caller
@@ -58,15 +59,16 @@ names, which is the layout ``--resume`` and ``fleet-status`` read.
 
 An attempt runs inline (in the coordinator) when ``in_process=True``,
 when an unsupervised run has a single shard left, or when the host
-refuses to spawn a process. An inline attempt runs synchronously at
-launch and its outcome goes through the same transitions as a message
-from a worker, so reschedule and quarantine have one code path; stall
-detection and hedging need a concurrently observable worker and are
-inert for it.
+refuses to spawn a process. Launching an inline attempt queues it; the
+scheduling loop runs it to completion and handles its outcome through
+the same transitions as a message from a worker, so reschedule and
+quarantine have one code path; stall detection and hedging need a
+concurrently observable worker and are inert for it.
 """
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -82,7 +84,8 @@ from ..faults.injector import KILL_EXIT_CODE, WorkerCrashError, WorkerHangError
 from ..faults.journal import ShardJournal
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
-from ..obs.fleetwatch import DEFAULT_STALL_AFTER, read_status_file
+from ..obs.fleetwatch import (DEFAULT_STALL_AFTER, read_status_file,
+                              status_path)
 from ..obs.logging import get_logger
 
 __all__ = [
@@ -108,18 +111,19 @@ class SupervisorPolicy:
     hedged when its running attempt is older than ``hedge_after ×
     median completed-attempt duration`` (and at least half the shards
     have completed, so the median means something). ``None`` disables
-    hedging. ``fault_budget=None`` means unlimited recovery attempts.
+    hedging. ``stall_after=None`` sets no stall deadline.
+    ``fault_budget=None`` means unlimited recovery attempts.
     """
 
     max_attempts: int = 3
-    stall_after: float = DEFAULT_STALL_AFTER
+    stall_after: float | None = DEFAULT_STALL_AFTER
     hedge_after: float | None = None
     fault_budget: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.stall_after <= 0:
+        if self.stall_after is not None and self.stall_after <= 0:
             raise ValueError("stall_after must be > 0")
         if self.hedge_after is not None and self.hedge_after <= 0:
             raise ValueError("hedge_after must be > 0")
@@ -283,16 +287,11 @@ def _attempt_main(conn, *args) -> None:
     reads both from process state, not the pipe.
     """
     try:
-        _send(conn, _attempt_outcome(*args))
+        conn.send(_attempt_outcome(*args))
+    except OSError:
+        pass  # The supervisor went away; nothing left to report to.
     finally:
         conn.close()
-
-
-def _send(conn, message) -> None:
-    try:
-        conn.send(message)
-    except (BrokenPipeError, OSError):
-        pass  # The supervisor went away; nothing left to report to.
 
 
 @dataclass
@@ -360,6 +359,8 @@ class FleetSupervisor:
         self.failures: dict[int, object] = {}
         self._state: dict[int, _ShardState] = {}
         self._report: DegradationReport | None = None
+        #: Inline attempts launched but not yet run, with their args.
+        self._inline: collections.deque = collections.deque()
 
     # ------------------------------------------------------------ public
 
@@ -418,8 +419,11 @@ class FleetSupervisor:
             for spec in to_run:
                 self._launch(spec, attempt=1,
                              armed=armed.get(spec.shard_index, True))
+                # Inline: finish this shard, reschedules included,
+                # before the next one starts.
+                self._run_inline()
             while any(state.live for state in self._state.values()):
-                progressed = self._poll()
+                progressed = self._run_inline() | self._poll()
                 now = time.time()
                 self._check_stalls(now)
                 self._maybe_hedge(now)
@@ -428,6 +432,7 @@ class FleetSupervisor:
                     multiprocessing.connection.wait(
                         [handle for state in self._state.values()
                          for attempt in state.live
+                         if attempt.process is not None
                          for handle in (attempt.conn,
                                         attempt.process.sentinel)],
                         timeout=_POLL_INTERVAL)
@@ -438,18 +443,18 @@ class FleetSupervisor:
                 for attempt in state.live:
                     self._reap(attempt, terminate=True)
                 state.live.clear()
+            self._inline.clear()
             self._cleanup_attempt_dirs()
         return self.results, self.failures, self._finalize()
 
     def _launch(self, spec, attempt: int, armed: bool,
                 hedge: bool = False) -> None:
-        """Start one attempt: a worker process, or inline to completion.
+        """Start one attempt: a worker process, or queue it inline.
 
-        An inline attempt's outcome is handled here, exactly like a
-        message received from a worker.
+        The scheduling loop runs a queued inline attempt and handles its
+        outcome exactly like a message received from a worker.
         """
-        attempt_dir = (self.journal.directory / "attempts"
-                       / f"shard-{spec.shard_index:04d}-a{attempt}")
+        attempt_dir = self._attempt_dir(spec.shard_index, attempt)
         attempt_dir.mkdir(parents=True, exist_ok=True)
         args = (spec, self.config, self.telemetry, self.exec_cache,
                 self.fault_plan, self.retry_policy, str(attempt_dir),
@@ -476,7 +481,18 @@ class FleetSupervisor:
             hedge=hedge, armed=armed,
             pid=process.pid if process is not None else os.getpid())
         if process is None:
+            self._inline.append((state, record, args))
+
+    def _run_inline(self) -> bool:
+        """Run queued inline attempts until none is left; returns
+        whether any ran. A reschedule queues its attempt here rather
+        than running it, so the stack stays flat however many attempts
+        a shard takes."""
+        ran = bool(self._inline)
+        while self._inline:
+            state, record, args = self._inline.popleft()
             self._handle_message(state, record, _attempt_outcome(*args))
+        return ran
 
     def _spawn(self, args):
         recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
@@ -505,8 +521,8 @@ class FleetSupervisor:
         for state in self._state.values():
             for attempt in sorted(list(state.live),
                                   key=lambda a: a.attempt):
-                if attempt not in state.live:
-                    continue  # A sibling's win already reaped it.
+                if attempt not in state.live or attempt.process is None:
+                    continue  # Reaped by a sibling's win, or inline.
                 message = None
                 try:
                     if attempt.conn.poll():
@@ -548,8 +564,12 @@ class FleetSupervisor:
 
     def _check_stalls(self, now: float) -> None:
         """Terminate attempts whose heartbeat went silent too long."""
+        if self.policy.stall_after is None:
+            return
         for state in self._state.values():
             for attempt in list(state.live):
+                if attempt.process is None:
+                    continue  # Queued inline: not started yet.
                 last = self._last_heartbeat(attempt)
                 if now - last <= self.policy.stall_after:
                     continue
@@ -568,8 +588,7 @@ class FleetSupervisor:
 
     def _last_heartbeat(self, attempt: _Attempt) -> float:
         beat = read_status_file(
-            attempt.directory
-            / f"shard-{attempt.shard_index:04d}.status.json")
+            status_path(attempt.directory, attempt.shard_index))
         updated = float(beat.get("updated_unix", 0.0)) if beat else 0.0
         return max(attempt.started, updated)
 
@@ -622,7 +641,7 @@ class FleetSupervisor:
             result.transfer_seconds = max(
                 0.0, time.time() - result.finished_unix)
         self.results[attempt.shard_index] = result
-        self._promote(attempt)
+        self._promote(attempt.shard_index, attempt.attempt)
         rescheduled_from = state.last_failed_attempt \
             if attempt.attempt > 1 else 0
         self.journal.record_done(attempt.shard_index,
@@ -702,7 +721,10 @@ class FleetSupervisor:
         spec = state.spec
         if not self.quarantine:
             # Unsupervised: the failed journal entry already written is
-            # the shard's final record for this run.
+            # the shard's final record for this run, and its last
+            # heartbeat stays where fleet-status reads it.
+            self._promote(spec.shard_index, state.last_failed_attempt,
+                          (".status.json",))
             self.failures[spec.shard_index] = ShardFailure(
                 spec.shard_index, spec.start, spec.stop, state.last_kind,
                 state.last_message)
@@ -759,20 +781,25 @@ class FleetSupervisor:
             except OSError:
                 pass
 
-    def _promote(self, attempt: _Attempt) -> None:
-        """Move the winning attempt's files to canonical journal names.
+    def _attempt_dir(self, shard_index: int, attempt: int) -> Path:
+        return (self.journal.directory / "attempts"
+                / f"shard-{shard_index:04d}-a{attempt}")
+
+    def _promote(self, shard_index: int, attempt: int,
+                 suffixes=(".db", ".pkl", ".spans.jsonl", ".folded",
+                           ".status.json")) -> None:
+        """Move an attempt's files (the winner's, or a failed shard's
+        last heartbeat) to canonical journal names.
 
         ``--resume`` and ``fleet-status`` read the canonical names and
         need no attempt awareness.
         """
-        stem = f"shard-{attempt.shard_index:04d}"
-        for suffix in (".db", ".pkl", ".spans.jsonl", ".folded",
-                       ".status.json"):
-            source = attempt.directory / (stem + suffix)
-            if source.exists():
-                os.replace(source, self.journal.directory
-                           / (stem + suffix))
-        shutil.rmtree(attempt.directory, ignore_errors=True)
+        directory = self._attempt_dir(shard_index, attempt)
+        for suffix in suffixes:
+            name = f"shard-{shard_index:04d}{suffix}"
+            if (directory / name).exists():
+                os.replace(directory / name, self.journal.directory / name)
+        shutil.rmtree(directory, ignore_errors=True)
 
     def _cleanup_attempt_dirs(self) -> None:
         shutil.rmtree(self.journal.directory / "attempts",

@@ -311,6 +311,7 @@ def _run_shard(spec: ShardSpec, config: CorpusConfig, telemetry: bool,
     previous_tracer = set_tracer(worker_tracer) if worker_tracer else None
     phases: dict[str, float] = {}
     completed = 0
+    stop_keepalive = None
     try:
         registry = get_registry()
         pipelines_done = registry.counter("corpus.pipelines_generated")
@@ -363,7 +364,10 @@ def _run_shard(spec: ShardSpec, config: CorpusConfig, telemetry: bool,
             # (resumed and fresh merges must fold identical numbers).
             instruments = registry.state_records()
             if heartbeat is not None:
-                heartbeat.beat("serialize", spec.n_pipelines, force=True)
+                # Snapshot, pickle and journal scale with the shard:
+                # keep beating through them so only a hang goes silent.
+                stop_keepalive = heartbeat.keepalive("serialize",
+                                                     spec.n_pipelines)
             ser_started = perf_counter()
             blob = None
             with span("fleet.shard.serialize") as ser_span:
@@ -411,6 +415,7 @@ def _run_shard(spec: ShardSpec, config: CorpusConfig, telemetry: bool,
                     # full disk must not fail the shard.
                     pass
         if heartbeat is not None:
+            stop_keepalive()
             heartbeat.beat("done", spec.n_pipelines, force=True)
         return ShardResult(
             spec=spec, records=records, cache_hits=hits,
@@ -425,6 +430,8 @@ def _run_shard(spec: ShardSpec, config: CorpusConfig, telemetry: bool,
             snapshot_blob=blob,
             snapshot_direct=None if blob is not None else snapshot)
     except Exception as exc:
+        if stop_keepalive is not None:
+            stop_keepalive()
         # Dying-breath heartbeat: a shard that raises reports *failed*
         # right now, so the driver (and fleet-status) never has to
         # wait out the stall threshold to learn a worker is gone.
@@ -433,6 +440,8 @@ def _run_shard(spec: ShardSpec, config: CorpusConfig, telemetry: bool,
                            error=f"{type(exc).__name__}: {exc}")
         raise
     finally:
+        if stop_keepalive is not None:
+            stop_keepalive()
         if sampler is not None:
             sampler.stop()
         set_registry(previous_registry)
@@ -574,12 +583,12 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
 
     Every shard runs under the
     :class:`~repro.fleet.supervisor.FleetSupervisor`. Without
-    ``supervise`` that is one attempt per shard with stall detection
-    on: a crashed, killed or hung worker loses its own shard, which is
-    journaled ``failed`` for ``resume``. A shard runs inline when
-    ``in_process=True`` or when an unsupervised run has one shard left
-    to simulate (``workers=1`` included), otherwise in its own worker
-    process.
+    ``supervise`` that is one attempt per shard: a crashed or killed
+    worker, or one silent past a caller-set ``stall_after``, loses its
+    own shard, which is journaled ``failed`` for ``resume``. A shard
+    runs inline when ``in_process=True`` or when an unsupervised run
+    has one shard left to simulate (``workers=1`` included), otherwise
+    in its own worker process.
 
     Args:
         config: Corpus configuration (default ``CorpusConfig()``).
@@ -617,10 +626,12 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
         max_attempts: Supervised attempts per shard before it is
             quarantined for this run.
         stall_after: Seconds without a heartbeat before a worker
-            counts as hung, supervised or not (also recorded in the
-            journal manifest so ``fleet-status`` uses the same
-            threshold).
-            ``None`` uses :data:`~repro.obs.fleetwatch.DEFAULT_STALL_AFTER`.
+            counts as hung (also recorded in the journal manifest so
+            ``fleet-status`` uses the same threshold). ``None`` uses
+            :data:`~repro.obs.fleetwatch.DEFAULT_STALL_AFTER` for a
+            supervised run and sets no deadline for a plain one: a
+            single pipeline, or a pickle that holds the GIL, can stay
+            silent longer than any fixed default at large shard sizes.
         hedge_after: Straggler factor: hedge a running shard once its
             attempt is older than ``hedge_after`` × the median
             completed-attempt duration. ``None`` disables hedging.
@@ -721,13 +732,15 @@ def generate_corpus_fleet(config: CorpusConfig | None = None,
         with _timed_phase(phases, "simulate", shards=len(to_run)):
             if to_run:
                 # Unsupervised is a policy: one attempt, no hedging, no
-                # budget, and a failure stays a plain journal failure.
+                # budget, no stall deadline unless the caller sets one,
+                # and a failure stays a plain journal failure.
                 supervisor = FleetSupervisor(
                     config, journal,
                     SupervisorPolicy(
                         max_attempts=max_attempts if supervise else 1,
-                        stall_after=stall_after
-                        if stall_after is not None else DEFAULT_STALL_AFTER,
+                        stall_after=DEFAULT_STALL_AFTER
+                        if supervise and stall_after is None
+                        else stall_after,
                         hedge_after=hedge_after if supervise else None,
                         fault_budget=fault_budget if supervise else None),
                     telemetry=telemetry, exec_cache=exec_cache,

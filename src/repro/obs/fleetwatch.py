@@ -10,7 +10,10 @@ discipline of the shard journal:
   pipeline: current phase, pipelines done/total, resident set size.
   Writes are temp-file + ``os.replace`` (never torn) and throttled to
   at most one per ``min_interval`` seconds so the hot loop pays a clock
-  read, not an fsync.
+  read, not an fsync. Between the last pipeline and the final beat a
+  worker snapshots, pickles and journals its whole shard;
+  :meth:`ShardHeartbeat.keepalive` beats from a daemon thread through
+  those steps so their length never reads as silence.
 * Driver side — :func:`collect_fleet_status` joins the journal's
   manifest + outcome entries with the status files into one
   :class:`FleetStatus`: per-shard state (``pending``/``running``/
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,6 +53,9 @@ DEFAULT_STALL_AFTER = 30.0
 
 #: Minimum seconds between heartbeat writes (per shard).
 DEFAULT_MIN_INTERVAL = 0.5
+
+#: Seconds between the beats of a :meth:`ShardHeartbeat.keepalive`.
+KEEPALIVE_INTERVAL = 1.0
 
 
 def status_path(journal_dir: str | Path, shard_index: int) -> Path:
@@ -111,6 +118,32 @@ class ShardHeartbeat:
             # shard that is about to produce the actual payload.
             return False
         return True
+
+    def keepalive(self, phase: str, done: int):
+        """Beat ``phase`` now and then every :data:`KEEPALIVE_INTERVAL`
+        seconds from a daemon thread; returns the idempotent ``stop()``,
+        after which the thread writes nothing.
+
+        For bounded post-simulation work (snapshot, pickle, journal
+        writes) whose length scales with the shard, not with a hang.
+        A call that holds the GIL throughout (one large
+        ``pickle.dumps``) still delays the thread's beats.
+        """
+        self.beat(phase, done, force=True)
+        stopped = threading.Event()
+
+        def run() -> None:
+            while not stopped.wait(KEEPALIVE_INTERVAL):
+                self.beat(phase, done, force=True)
+
+        thread = threading.Thread(target=run, daemon=True,
+                                  name=f"keepalive-{self.worker}")
+        thread.start()
+
+        def stop() -> None:
+            stopped.set()
+            thread.join()
+        return stop
 
 
 def read_status_file(path: str | Path) -> dict | None:

@@ -8,12 +8,14 @@ pipeline counts exactly partition the plan.
 """
 
 import json
+import sys
 
 import pytest
 
 from repro.corpus import CorpusConfig
 from repro.faults import FaultPlan
 from repro.faults.journal import ShardJournal
+import repro.fleet.supervisor as supervisor
 from repro.fleet import generate_corpus_fleet
 from repro.fleet.supervisor import (DegradationReport, QuarantinedShard,
                                     SupervisorPolicy, render_degradation)
@@ -150,6 +152,29 @@ class TestInlineRecovery:
         assert resumed.complete
         assert resumed.resumed_shards == 2
         assert _rows(corpus.store) == _rows(baseline.store)
+
+    def test_reschedules_keep_the_stack_flat(self, tmp_path,
+                                             monkeypatch):
+        # Every inline attempt, first or rescheduled, starts at the
+        # same stack depth, so --max-attempts cannot overflow it.
+        depths = []
+        run_attempt = supervisor._attempt_outcome
+
+        def measured(*args):
+            frame, depth = sys._getframe(), 0
+            while frame is not None:
+                frame, depth = frame.f_back, depth + 1
+            depths.append(depth)
+            return run_attempt(*args)
+
+        monkeypatch.setattr(supervisor, "_attempt_outcome", measured)
+        plan = FaultPlan.parse("worker_crash:1:1:repeat", seed=3)
+        _, report = generate_corpus_fleet(
+            _config(), workers=3, in_process=True, supervise=True,
+            max_attempts=12, fault_plan=plan, journal_dir=tmp_path / "j")
+        assert [q.attempts for q in report.degradation.quarantined] == [12]
+        assert len(depths) == 2 + 12
+        assert len(set(depths)) == 1
 
     def test_supervise_requires_journal(self):
         with pytest.raises(ValueError, match="supervise"):

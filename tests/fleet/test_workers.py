@@ -1,8 +1,10 @@
 """Fleet generation tests: shard planning, determinism, aggregation."""
 
 import json
+import multiprocessing
 import os
 import tempfile
+import time
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.fleet import (
     run_shard,
 )
 from repro.graphlets import segment_pipeline
+from repro.obs.fleetwatch import collect_fleet_status
 from repro.obs.metrics import get_registry
 
 
@@ -241,6 +244,60 @@ class TestShardFailureDegradation:
         entry = json.loads((journal_dir / "shard-0001.json").read_text())
         assert (entry["status"], entry["crashes"]) == ("failed", 1)
         assert not (journal_dir / "degradation.json").exists()
+
+    @pytest.mark.parametrize("mode, phase", [("", "failed"),
+                                             (":kill", "simulate")])
+    def test_failed_shard_keeps_its_heartbeat(self, tmp_path, mode,
+                                              phase):
+        # fleet-status reads a failed shard's last beat (the dying
+        # breath of a raising worker, the last progress of a killed
+        # one) at the canonical path after the run.
+        plan = FaultPlan.parse(f"worker_crash:1:1{mode}")
+        journal_dir = journal_dir_for(tmp_path / "corpus.db")
+        _, report = generate_corpus_fleet(
+            _tiny_config(), workers=3, fault_plan=plan,
+            journal_dir=journal_dir)
+        assert report.used_processes
+        status = collect_fleet_status(journal_dir)
+        shard = status.shards[1]
+        assert (shard.state, shard.phase) == ("failed", phase)
+        assert shard.worker == "shard-0001"
+        if phase == "failed":
+            assert shard.pipelines_done == 1
+            assert status.pipelines_done == 5
+        assert status.needs_resume
+
+    def test_plain_run_sets_no_stall_deadline(self, tmp_path):
+        # The stall deadline of a plain run is the caller's choice.
+        for stall_after, expected in ((None, None), (5.0, 5.0)):
+            journal_dir = tmp_path / f"j{stall_after}"
+            generate_corpus_fleet(_tiny_config(), workers=2,
+                                  in_process=True, stall_after=stall_after,
+                                  journal_dir=journal_dir)
+            (started,) = [
+                e for e in ShardJournal(journal_dir, "").load_events()
+                if e["event"] == "supervision_started"]
+            assert started["stall_after"] == expected
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the slow snapshot is patched in by fork")
+    def test_slow_serialize_is_not_a_stall(self, tmp_path, monkeypatch):
+        # Snapshot, pickle and journal writes grow with the shard; the
+        # worker keeps beating through them, so a stall deadline
+        # shorter than they take does not end a healthy worker.
+        snapshot = workers.snapshot_store
+
+        def slow_snapshot(store):
+            time.sleep(3.5)
+            return snapshot(store)
+
+        monkeypatch.setattr(workers, "snapshot_store", slow_snapshot)
+        corpus, report = generate_corpus_fleet(
+            _tiny_config(), workers=2, stall_after=2.0,
+            journal_dir=tmp_path / "j")
+        assert report.used_processes
+        assert report.complete
+        assert len(corpus.records) == 6
 
 
 class TestScratchJournal:

@@ -1,9 +1,11 @@
 """Heartbeat/status edge cases: torn writes, stalls, absent journals."""
 
 import json
+import time
 
 import pytest
 
+from repro.obs import fleetwatch
 from repro.obs.fleetwatch import (
     ShardHeartbeat,
     collect_fleet_status,
@@ -56,6 +58,22 @@ class TestHeartbeat:
         ShardHeartbeat(tmp_path, 0, total=1).beat("simulate", 0,
                                                   force=True)
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_keepalive_beats_while_the_caller_is_busy(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(fleetwatch, "KEEPALIVE_INTERVAL", 0.05)
+        hb = ShardHeartbeat(tmp_path, 0, total=4, min_interval=3600.0)
+        stop = hb.keepalive("serialize", 4)
+        first = read_status_file(status_path(tmp_path, 0))["updated_unix"]
+        time.sleep(0.3)
+        stop()
+        last = read_status_file(status_path(tmp_path, 0))
+        assert last["phase"] == "serialize"
+        assert last["updated_unix"] > first
+        time.sleep(0.15)
+        # Nothing beats after stop(): the caller's next beat is final.
+        assert read_status_file(status_path(tmp_path, 0)) == last
+        stop()  # idempotent
 
 
 class TestReadStatusFile:
